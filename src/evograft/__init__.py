@@ -11,12 +11,12 @@ Frozen blocks are never written, so settled tasks cannot be forgotten.
 from .checkpoint import (block_digest, checkpoint_digest, load_checkpoint,
                          save_checkpoint, system_digest)
 from .data import (GenSpec, TaskDataset, TaskGenSpec, generate_synthetic_tasks,
-                   load_gen_spec, load_task_dir, load_task_library)
+                   load_gen_spec, load_task_dir, scan_task_dirs)
 from .evolution import (EvolutionConfig, MetricsSnapshot, SegmentSpec,
                         bootstrap_system, load_segments, metrics_snapshot,
                         parent_acceptance_probability, parse_segments,
-                        run_generation, run_segment, run_task_iteration,
-                        sample_parent)
+                        run_generation, run_plan, run_segment,
+                        run_task_iteration, sample_parent)
 from .mutations import (MODE_MUNET, MODE_MUNET_PLUS, MutationAction,
                         apply_mutations, inherit_mu, possible_mutations,
                         sample_mutations)

@@ -113,18 +113,24 @@ def _read_block_file(path: str, block_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 def save_checkpoint(system: SystemState, path: str) -> None:
     """Write the system to ``path``; stale block payloads are removed so the
-    directory is a pure function of the system state."""
+    directory is a pure function of the system state.
+
+    The new manifest replaces the old one in a single rename, after every
+    block file it references is written and before any block file the old
+    one references is removed, so a save stopped at any point leaves a
+    checkpoint that loads as either the old or the new system."""
     blocks_dir = os.path.join(path, "blocks")
     os.makedirs(blocks_dir, exist_ok=True)
+    for bid, block in system.blocks.items():
+        _write_block_file(os.path.join(blocks_dir, f"{bid}.bin"), block)
+    manifest_tmp = os.path.join(path, "manifest.tmp")
+    with open(manifest_tmp, "w", encoding="utf-8") as fh:
+        fh.write(write_manifest(system))
+    os.replace(manifest_tmp, os.path.join(path, "manifest"))
     wanted = {f"{bid}.bin" for bid in system.blocks}
     for entry in os.listdir(blocks_dir):
         if entry not in wanted:
             os.remove(os.path.join(blocks_dir, entry))
-    for bid, block in system.blocks.items():
-        _write_block_file(os.path.join(blocks_dir, f"{bid}.bin"), block)
-    manifest = write_manifest(system)
-    with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
-        fh.write(manifest)
 
 
 def load_checkpoint(path: str) -> SystemState:

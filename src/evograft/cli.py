@@ -14,28 +14,13 @@ import sys
 from dataclasses import replace
 
 from . import checkpoint as ckpt
-from .data import DatasetError, generate_synthetic_tasks, load_gen_spec, load_task_dir
-from .evolution import EvolutionConfig, load_segments, run_segment
+from .data import (DatasetError, generate_synthetic_tasks, load_gen_spec, load_task_dir,
+                   scan_task_dirs)
+from .evolution import EvolutionConfig, bootstrap_system, load_segments, run_plan
 from .scoring import calibrate
 from .search_space import load_space
 from .system import SystemState, export_dot
-from .evolution import bootstrap_system
 from .reports import emit_reports
-
-
-def _scan_tasks(root: str) -> dict[str, str]:
-    """Map task name to directory for every dataset under ``root``."""
-    paths = {}
-    for entry in sorted(os.listdir(root)):
-        full = os.path.join(root, entry)
-        if os.path.isdir(full) and os.path.exists(os.path.join(full, "meta")):
-            ds = load_task_dir(full)
-            if ds.name in paths:
-                raise DatasetError(f"duplicate task name {ds.name!r} under {root}")
-            paths[ds.name] = full
-    if not paths:
-        raise DatasetError(f"no task directories under {root}")
-    return paths
 
 
 def _load_registered(system: SystemState):
@@ -44,7 +29,7 @@ def _load_registered(system: SystemState):
 
 def cmd_init(args) -> None:
     space = load_space(args.space)
-    paths = _scan_tasks(args.tasks)
+    paths = scan_task_dirs(args.tasks)
     datasets = {name: load_task_dir(path) for name, path in paths.items()}
     channels = {ds.c for ds in datasets.values()}
     if len(channels) != 1:
@@ -59,53 +44,23 @@ def cmd_init(args) -> None:
 def cmd_run(args) -> None:
     system = ckpt.load_checkpoint(args.checkpoint)
     segments = load_segments(args.segments)
-    datasets = _load_registered(system)
-    base_cfg = EvolutionConfig()
 
-    resume_label, resume_done = (None, 0)
-    if system.run_position is not None:
-        resume_label, resume_done = system.run_position
-        if resume_label not in {s.label for s in segments}:
-            raise ValueError(
-                f"checkpoint is positioned at unknown segment {resume_label!r}")
-    reached_resume = resume_label is None
-
-    for segment in segments:
-        total = segment.iterations * len(segment.tasks)
-        skip = 0
-        resuming_mid_segment = False
-        if not reached_resume:
-            if segment.label != resume_label:
-                continue
-            reached_resume = True
-            if resume_done >= total:
-                continue
-            skip = resume_done
-            resuming_mid_segment = skip > 0
-
-        done = skip
-
-        def save_progress(snap, _segment=segment):
-            nonlocal done
-            done += 1
-            system.run_position = (_segment.label, done)
-            ckpt.save_checkpoint(system, args.checkpoint)
-            print(f"[{snap.index}] {_segment.label}/{snap.task} "
-                  f"acc={snap.mean_test_accuracy:.4f} "
-                  f"params={snap.mean_accounted_params:.1f} "
-                  f"flops={snap.mean_inference_flops:.0f}")
-
-        run_segment(system, segment, datasets, base_cfg,
-                    on_iteration=save_progress, skip_iterations=skip,
-                    apply_scoring_overrides=not resuming_mid_segment)
-        system.run_position = (segment.label, total)
+    def save_progress(snap):
         ckpt.save_checkpoint(system, args.checkpoint)
+        print(f"[{snap.index}] {snap.segment}/{snap.task} "
+              f"acc={snap.mean_test_accuracy:.4f} "
+              f"params={snap.mean_accounted_params:.1f} "
+              f"flops={snap.mean_inference_flops:.0f}")
+
+    run_plan(system, segments, _load_registered(system), EvolutionConfig(),
+             on_iteration=save_progress)
+    ckpt.save_checkpoint(system, args.checkpoint)
     print(f"run complete: {system.iterations_done} task iteration(s) total")
 
 
 def cmd_add_tasks(args) -> None:
     system = ckpt.load_checkpoint(args.checkpoint)
-    paths = _scan_tasks(args.tasks)
+    paths = scan_task_dirs(args.tasks)
     added = 0
     for name, path in paths.items():
         if name in system.task_paths:

@@ -112,17 +112,20 @@ def load_task_dir(path: str) -> TaskDataset:
     return dataset
 
 
-def load_task_library(root: str) -> dict[str, TaskDataset]:
-    """Load every task directory directly under ``root``, keyed by task name."""
-    out = {}
+def scan_task_dirs(root: str) -> dict[str, str]:
+    """Map task name to directory for every dataset directly under ``root``;
+    two directories declaring the same task name are rejected."""
+    paths = {}
     for entry in sorted(os.listdir(root)):
         full = os.path.join(root, entry)
         if os.path.isdir(full) and os.path.exists(os.path.join(full, "meta")):
             ds = load_task_dir(full)
-            out[ds.name] = ds
-    if not out:
+            if ds.name in paths:
+                raise DatasetError(f"duplicate task name {ds.name!r} under {root}")
+            paths[ds.name] = full
+    if not paths:
         raise DatasetError(f"no task directories under {root}")
-    return out
+    return paths
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

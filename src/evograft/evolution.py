@@ -12,7 +12,10 @@ best-scoring model for the task and garbage-collects everything it orphaned.
 
 A segment bundles config overrides (mode, scale factor, recalibration) with a
 round-robin block of task iterations, emitting a metrics snapshot after every
-iteration.
+iteration. A plan is a list of segments run in order by ``run_plan``, which
+records ``(segment label, iterations done)`` in ``system.run_position`` after
+every iteration; rerunning the plan on a checkpoint saved at any iteration
+continues exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -242,14 +245,14 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
 def run_segment(system: SystemState, segment: SegmentSpec,
                 datasets: dict[str, TaskDataset], base_cfg: EvolutionConfig,
                 rng: Rng | None = None, on_iteration=None,
-                skip_iterations: int = 0,
-                apply_scoring_overrides: bool = True) -> list[MetricsSnapshot]:
+                start: int = 0) -> list[MetricsSnapshot]:
     """Apply the segment's overrides, then run its round-robin task iterations.
 
-    ``skip_iterations`` fast-forwards past work a resumed checkpoint already
-    holds; a mid-segment resume passes ``apply_scoring_overrides=False`` since
-    the score-parameter changes already happened and recalibration is not
-    idempotent. ``on_iteration`` is called with each fresh snapshot.
+    ``start`` is the number of the segment's iterations a resumed checkpoint
+    already holds; they are skipped. The score-parameter overrides apply only
+    when ``start`` is 0: past that point they already happened, and
+    recalibration is not idempotent. ``on_iteration`` is called with each
+    fresh snapshot.
     """
     for name in segment.tasks:
         if name not in datasets:
@@ -262,11 +265,11 @@ def run_segment(system: SystemState, segment: SegmentSpec,
         if segment.mode not in MODES:
             raise EvolutionError(f"unknown mode {segment.mode!r}")
         cfg = replace(cfg, mode=segment.mode)
-        if apply_scoring_overrides:
+    if start == 0:
+        if segment.mode is not None:
             system.score_params = replace(
                 system.score_params,
                 compute_factor_enabled=(segment.mode == MODE_MUNET_PLUS))
-    if apply_scoring_overrides:
         if segment.s is not None:
             system.score_params = replace(system.score_params, s=segment.s)
         if segment.recalibrate is not None:
@@ -282,20 +285,50 @@ def run_segment(system: SystemState, segment: SegmentSpec,
                                               batch_size=cfg.budget.batch_size))
 
     snapshots = []
-    position = 0
-    for _ in range(segment.iterations):
-        for task in segment.tasks:
-            position += 1
-            if position <= skip_iterations:
-                continue
-            run_task_iteration(system, task, datasets[task], cfg, rng)
-            snap = metrics_snapshot(system, datasets, segment.tasks,
-                                    segment.label, task)
-            system.history.append(snap)
-            snapshots.append(snap)
+    order = [task for _ in range(segment.iterations) for task in segment.tasks]
+    for task in order[start:]:
+        run_task_iteration(system, task, datasets[task], cfg, rng)
+        snap = metrics_snapshot(system, datasets, segment.tasks, segment.label, task)
+        system.history.append(snap)
+        snapshots.append(snap)
+        if on_iteration is not None:
+            on_iteration(snap)
+    return snapshots
+
+
+def run_plan(system: SystemState, segments: list[SegmentSpec],
+             datasets: dict[str, TaskDataset], base_cfg: EvolutionConfig,
+             on_iteration=None) -> None:
+    """Run a segment plan, continuing from ``system.run_position``.
+
+    The position is ``(segment label, iterations done)``. Segments before it
+    are skipped, and the named one resumes after its recorded iterations. The
+    position advances before ``on_iteration(snap)`` is called, so a
+    checkpoint saved there resumes after that iteration. Rerunning a finished
+    plan does nothing.
+    """
+    first, done = 0, 0
+    if system.run_position is not None:
+        label, done = system.run_position
+        labels = [s.label for s in segments]
+        if label not in labels:
+            raise EvolutionError(f"checkpoint is positioned at unknown segment {label!r}")
+        first = labels.index(label)
+        if done >= segments[first].iterations * len(segments[first].tasks):
+            first, done = first + 1, 0
+
+    for segment in segments[first:]:
+        def advance(snap):
+            nonlocal done
+            done += 1
+            system.run_position = (segment.label, done)
             if on_iteration is not None:
                 on_iteration(snap)
-    return snapshots
+
+        run_segment(system, segment, datasets, base_cfg, on_iteration=advance,
+                    start=done)
+        system.run_position = (segment.label, done)
+        done = 0
 
 
 def parse_segments(text: str) -> list[SegmentSpec]:

@@ -16,8 +16,6 @@ from .rng import Rng
 
 RESOLUTION_AXIS = "resolution"
 
-MU_LO = 0.02
-MU_HI = 0.30
 MU_STEP = 0.02
 MU_INIT = 0.20
 MU_GRID: tuple[float, ...] = tuple(round(MU_STEP * i, 2) for i in range(1, 16))

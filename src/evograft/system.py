@@ -221,11 +221,6 @@ class SystemState:
                 total += dense_flops(block.d_in, block.d_out)
         return total
 
-    # -- visualization -------------------------------------------------------
-
-    def export_dot(self) -> str:
-        return export_dot(self)
-
 
 def dense_flops(d_in: int, d_out: int) -> int:
     """Multiply-accumulate plus bias-add count of one dense map."""

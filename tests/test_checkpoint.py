@@ -1,10 +1,13 @@
 import os
+import shutil
 
 import pytest
 
+from evograft import checkpoint
 from evograft.checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint,
                                  save_checkpoint, system_digest)
-from evograft.evolution import bootstrap_system, run_task_iteration
+from evograft.evolution import bootstrap_system, finetune_top_actions, run_task_iteration
+from evograft.mutations import apply_mutations
 from evograft.rng import Rng
 from evograft.search_space import load_builtin_space
 
@@ -132,3 +135,59 @@ def test_stale_block_payloads_are_removed(tmp_path):
     junk.write_bytes(b"junk")
     save_checkpoint(system, str(tmp_path))
     assert not junk.exists()
+
+
+class Killed(Exception):
+    pass
+
+
+def save_killed_at(system, path, monkeypatch, step):
+    """Save, but stop in place of the ``step``-th block write, manifest
+    rename or file removal; return whether the save was stopped."""
+    calls = 0
+
+    def tripwire(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == step:
+                raise Killed
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "_write_block_file", tripwire(checkpoint._write_block_file))
+        m.setattr(checkpoint.os, "replace", tripwire(os.replace))
+        m.setattr(checkpoint.os, "remove", tripwire(os.remove))
+        try:
+            save_checkpoint(system, path)
+        except Killed:
+            return True
+    return False
+
+
+def test_save_stopped_at_any_step_still_loads(tmp_path, monkeypatch):
+    system = evolved_system()
+    parent = system.models_for("t")[0]
+    child = apply_mutations(system, parent, finetune_top_actions(parent, 1), "t",
+                            make_dataset("t", seed=60).num_classes, system.rng)
+    system.commit_model(child)
+    old_digest, old_blocks = system_digest(system), set(system.blocks)
+    template = str(tmp_path / "old")
+    save_checkpoint(system, template)
+    system.discard_model(child)
+    new_digest = system_digest(system)
+    assert old_blocks - set(system.blocks), "the discard must leave stale block files"
+
+    step = 1
+    while True:
+        path = str(tmp_path / f"step{step}")
+        shutil.copytree(template, path)
+        stopped = save_killed_at(system, path, monkeypatch, step)
+        loaded = system_digest(load_checkpoint(path))
+        if not stopped:
+            assert loaded == new_digest
+            break
+        assert loaded in (old_digest, new_digest), f"save stopped at step {step}"
+        step += 1
+    assert step > len(system.blocks) + 1

@@ -1,7 +1,9 @@
 import os
+import shutil
 import subprocess
 import sys
 
+from evograft import checkpoint
 from evograft.checkpoint import checkpoint_digest, load_checkpoint
 from evograft.cli import main
 from evograft.search_space import load_builtin_space
@@ -19,6 +21,33 @@ s 0.99
 recalibrate 10
 tasks alpha,beta
 iterations 1
+generations 1
+children 1
+cycles 1
+"""
+
+# A munet segment, a zero-iteration segment that only switches to munet_plus
+# and recalibrates, then a second task segment. That one recalibrates too and
+# begins with a task new to the system, so a resume after its first iteration
+# that recalibrated again would record a different P.
+PLAN = """\
+segment base
+mode munet
+s 0.99
+recalibrate 10
+tasks alpha
+generations 1
+children 1
+cycles 1
+
+segment switch
+mode munet_plus
+recalibrate 10
+iterations 0
+
+segment extend
+recalibrate 10
+tasks beta,alpha
 generations 1
 children 1
 cycles 1
@@ -92,6 +121,67 @@ def test_cli_resume_matches_straight_run(tmp_path, capsys):
 
     assert checkpoint_digest(ckpt_a) == checkpoint_digest(ckpt_b)
     capsys.readouterr()
+
+
+class Killed(BaseException):
+    """Stands in for a kill: ``main`` does not catch it."""
+
+
+def run_killed_after(ckpt, segments, monkeypatch, kill_after=None):
+    """Run the plan, stopping right after the ``kill_after``-th checkpoint save;
+    return the number of saves made."""
+    saves = 0
+    original = checkpoint.save_checkpoint
+
+    def save(system, path):
+        nonlocal saves
+        original(system, path)
+        saves += 1
+        if saves == kill_after:
+            raise Killed
+
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "save_checkpoint", save)
+        try:
+            assert main(["run", "--checkpoint", ckpt, "--segments", segments]) == 0
+        except Killed:
+            pass
+    return saves
+
+
+def test_cli_resume_after_kill_at_every_save(tmp_path, monkeypatch, capsys):
+    ckpt, tasks, root = setup_workspace(tmp_path / "straight")
+    plan = write(root / "plan.txt", PLAN)
+    total_saves = run_killed_after(ckpt, plan, monkeypatch)
+    assert total_saves == 4  # one per task iteration, then the final save
+    assert load_checkpoint(ckpt).run_position == ("extend", 2)
+    straight = checkpoint_digest(ckpt)
+
+    for k in range(1, total_saves + 1):
+        ckpt_k, _, _ = setup_workspace(tmp_path / f"kill{k}", tasks=tasks)
+        assert run_killed_after(ckpt_k, plan, monkeypatch, kill_after=k) == k
+        run_killed_after(ckpt_k, plan, monkeypatch)
+        assert checkpoint_digest(ckpt_k) == straight, f"killed after save {k}"
+    capsys.readouterr()
+
+
+def test_init_rejects_duplicate_task_names_and_empty_roots(tmp_path, capsys):
+    spec = write(tmp_path / "gen.spec", GEN_SPEC)
+    space = write(tmp_path / "desk.axes", load_builtin_space("desk").to_text())
+    tasks = str(tmp_path / "tasks")
+    assert main(["gen-tasks", "--spec", spec, "--seed", "5", "--out", tasks]) == 0
+    shutil.copytree(os.path.join(tasks, "alpha"), os.path.join(tasks, "alpha_again"))
+    empty = str(tmp_path / "empty")
+    os.makedirs(empty)
+    capsys.readouterr()
+
+    for root, reason in ((tasks, "duplicate task name 'alpha'"),
+                         (empty, "no task directories")):
+        assert main(["init", "--space", space, "--tasks", root, "--seed", "7",
+                     str(tmp_path / "ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_add_tasks_registers_new_datasets(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 from evograft.evolution import (EvolutionConfig, EvolutionError, SegmentSpec,
                                 _train_child, bootstrap_system, finetune_top_actions,
                                 metrics_snapshot, parent_acceptance_probability,
-                                parse_segments, run_generation, run_segment,
-                                run_task_iteration, sample_parent)
+                                parse_segments, run_generation, run_plan,
+                                run_segment, run_task_iteration, sample_parent)
 from evograft.mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET, MODE_MUNET_PLUS,
                                 apply_mutations, clone_action)
 from evograft.rng import Rng
@@ -311,6 +311,17 @@ def test_run_segment_unknown_task_errors():
     system = fresh_system()
     with pytest.raises(EvolutionError):
         run_segment(system, SegmentSpec(label="x", tasks=["ghost"]), {}, quick_config())
+
+
+def test_run_plan_rejects_unknown_position_label():
+    system = fresh_system()
+    system.run_position = ("gone", 1)
+    before = system.score_params
+    plan = [SegmentSpec(label="cal", recalibrate=10.0, s=0.97)]
+    with pytest.raises(EvolutionError, match="unknown segment 'gone'"):
+        run_plan(system, plan, {}, quick_config())
+    assert system.score_params == before
+    assert system.run_position == ("gone", 1)
 
 
 def test_finetune_top_actions_shape():
