@@ -28,9 +28,7 @@ def model(task, trunk):
     head = block(HEAD, 8, 4)
     spec = ModelSpec(id=system.new_model_id(), task=task,
                      layers=[(b.id, False) for b in trunk] + [(head.id, True)],
-                     hparams=space.default_config(), mu={},
-                     created_at=system.created_counter)
-    system.created_counter += 1
+                     hparams=space.default_config(), mu={})
     system.commit_model(spec)
     return spec
 

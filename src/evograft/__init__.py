@@ -26,8 +26,7 @@ from .search_space import (MU_GRID, MU_INIT, HparamAxis, SearchSpace,
                            load_builtin_space, load_space, mu_neighbors)
 from .system import (LayerBlock, ModelSpec, SystemState, export_dot,
                      init_system)
-from .trainer import (TrainBudget, evaluate, forward, gradients, loss,
-                      loss_and_gradients, lr_at, preprocess, sgd_step,
-                      train_cycle)
+from .trainer import (TrainBudget, evaluate, forward, loss, loss_and_gradients,
+                      lr_at, preprocess_batch, sgd_step, train_cycle)
 
 __version__ = "0.1.0"

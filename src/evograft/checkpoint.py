@@ -45,7 +45,7 @@ def write_manifest(system: SystemState) -> str:
     lines.append(f"score s={sp.s!r} P={sp.P!r} F={sp.F!r} "
                  f"size={int(sp.size_factor_enabled)} compute={int(sp.compute_factor_enabled)}")
     lines.append(f"counters blocks={system.next_block_id} models={system.next_model_id} "
-                 f"created={system.created_counter} iterations={system.iterations_done}")
+                 f"created={system.next_model_id} iterations={system.iterations_done}")
     for axis in system.space.axes.values():
         lines.append(f"axis {format_axis_line(axis)}")
     for name in sorted(system.task_paths):
@@ -57,7 +57,7 @@ def write_manifest(system: SystemState) -> str:
     for mid in sorted(system.models):
         m = system.models[mid]
         parent = "-" if m.parent_id is None else str(m.parent_id)
-        lines.append(f"model {m.id} {m.task} {parent} {m.created_at} "
+        lines.append(f"model {m.id} {m.task} {parent} {m.id} "
                      f"{_opt(m.quality)} {_opt(m.score_snapshot)}")
         layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
         lines.append(f"layers {m.id} {layers}")
@@ -194,10 +194,12 @@ def load_checkpoint(path: str) -> SystemState:
                                    created_by, int(gen)))
             elif key == "model":
                 mid, task, parent, created, quality, snap = rest.split()
+                if int(created) != int(mid):
+                    raise CheckpointError(
+                        f"model {mid} has creation index {created}, not its id")
                 models[int(mid)] = {
                     "task": task,
                     "parent": None if parent == "-" else int(parent),
-                    "created": int(created),
                     "quality": _parse_opt(quality),
                     "score": _parse_opt(snap),
                 }
@@ -261,7 +263,8 @@ def load_checkpoint(path: str) -> SystemState:
     system.history = [history[idx] for idx in sorted(history)]
     system.next_block_id = counters.get("blocks", 0)
     system.next_model_id = counters.get("models", 0)
-    system.created_counter = counters.get("created", 0)
+    if counters.get("created", 0) != system.next_model_id:
+        raise CheckpointError("created= counter disagrees with models= counter")
     system.iterations_done = counters.get("iterations", 0)
 
     blocks_dir = os.path.join(path, "blocks")
@@ -279,7 +282,7 @@ def load_checkpoint(path: str) -> SystemState:
                 raise CheckpointError(f"model {mid} is missing its {field} line")
         spec = ModelSpec(id=mid, task=entry["task"], layers=entry["layers"],
                          hparams=entry["hparams"], mu=entry["mu"],
-                         parent_id=entry["parent"], created_at=entry["created"],
+                         parent_id=entry["parent"],
                          quality=entry["quality"], score_snapshot=entry["score"])
         for lid, _ in spec.layers:
             if lid not in system.blocks:

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import checkpoint as ckpt
 from .data import (DatasetError, generate_synthetic_tasks, load_gen_spec, load_task_dir,
-                   scan_task_dirs)
+                   read_task_meta, scan_task_dirs)
 from .evolution import EvolutionConfig, bootstrap_system, load_segments, run_plan
 from .scoring import calibrate
 from .search_space import load_space
@@ -27,15 +27,19 @@ def _load_registered(system: SystemState):
     return {name: load_task_dir(path) for name, path in system.task_paths.items()}
 
 
+def _channel_count(datasets) -> int:
+    channels = {ds.c for ds in datasets}
+    if len(channels) != 1:
+        raise DatasetError(f"tasks disagree on channel count: {sorted(channels)}")
+    return channels.pop()
+
+
 def cmd_init(args) -> None:
     space = load_space(args.space)
     paths = scan_task_dirs(args.tasks)
-    datasets = {name: load_task_dir(path) for name, path in paths.items()}
-    channels = {ds.c for ds in datasets.values()}
-    if len(channels) != 1:
-        raise DatasetError(f"tasks disagree on channel count: {sorted(channels)}")
+    channels = _channel_count(load_task_dir(path) for path in paths.values())
     system = bootstrap_system(space, args.seed, width=args.width, depth=args.depth,
-                              patch=args.patch, channels=channels.pop())
+                              patch=args.patch, channels=channels)
     system.task_paths = paths
     ckpt.save_checkpoint(system, args.out)
     print(f"initialized checkpoint at {args.out} with {len(paths)} task(s)")
@@ -60,17 +64,18 @@ def cmd_run(args) -> None:
 
 def cmd_add_tasks(args) -> None:
     system = ckpt.load_checkpoint(args.checkpoint)
-    paths = scan_task_dirs(args.tasks)
-    added = 0
-    for name, path in paths.items():
+    added = {}
+    for name, path in scan_task_dirs(args.tasks).items():
         if name in system.task_paths:
             if os.path.abspath(system.task_paths[name]) != os.path.abspath(path):
                 raise DatasetError(f"task {name!r} already registered elsewhere")
             continue
-        system.task_paths[name] = path
-        added += 1
+        added[name] = path
+    _channel_count([read_task_meta(path) for path in system.task_paths.values()]
+                   + [load_task_dir(path) for path in added.values()])
+    system.task_paths.update(added)
     ckpt.save_checkpoint(system, args.checkpoint)
-    print(f"registered {added} new task(s)")
+    print(f"registered {len(added)} new task(s)")
 
 
 def cmd_set_scoring(args) -> None:

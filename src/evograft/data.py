@@ -84,7 +84,8 @@ def write_task_dataset(dataset: TaskDataset, out_dir: str) -> None:
         write_split(os.path.join(out_dir, f"{split}.bin"), images, labels)
 
 
-def load_task_dir(path: str) -> TaskDataset:
+def read_task_meta(path: str) -> TaskDataset:
+    """The task directory's ``meta`` file as a dataset with no splits loaded."""
     meta_path = os.path.join(path, "meta")
     fields = {}
     with open(meta_path, "r", encoding="utf-8") as fh:
@@ -100,8 +101,12 @@ def load_task_dir(path: str) -> TaskDataset:
     name = fields["name"]
     if not name or any(ch.isspace() for ch in name):
         raise DatasetError(f"{meta_path}: task name must be whitespace-free")
-    dataset = TaskDataset(name=name, num_classes=int(fields["classes"]),
-                          h=int(fields["h"]), w=int(fields["w"]), c=int(fields["c"]))
+    return TaskDataset(name=name, num_classes=int(fields["classes"]),
+                       h=int(fields["h"]), w=int(fields["w"]), c=int(fields["c"]))
+
+
+def load_task_dir(path: str) -> TaskDataset:
+    dataset = read_task_meta(path)
     for split in SPLITS:
         images, labels = read_split(os.path.join(path, f"{split}.bin"))
         if images.shape[1:] != (dataset.h, dataset.w, dataset.c):
@@ -113,24 +118,26 @@ def load_task_dir(path: str) -> TaskDataset:
 
 
 def scan_task_dirs(root: str) -> dict[str, str]:
-    """Map task name to directory for every dataset directly under ``root``;
-    two directories declaring the same task name are rejected."""
+    """Map task name to directory for every dataset directly under ``root``,
+    reading only each ``meta`` file; two directories declaring the same task
+    name are rejected."""
     paths = {}
     for entry in sorted(os.listdir(root)):
         full = os.path.join(root, entry)
         if os.path.isdir(full) and os.path.exists(os.path.join(full, "meta")):
-            ds = load_task_dir(full)
-            if ds.name in paths:
-                raise DatasetError(f"duplicate task name {ds.name!r} under {root}")
-            paths[ds.name] = full
+            name = read_task_meta(full).name
+            if name in paths:
+                raise DatasetError(f"duplicate task name {name!r} under {root}")
+            paths[name] = full
     if not paths:
         raise DatasetError(f"no task directories under {root}")
     return paths
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize an (h, w, c) float image with half-pixel-centered bilinear sampling."""
-    h, w = image.shape[:2]
+    """Resize a (..., h, w, c) float image or batch of images with
+    half-pixel-centered bilinear sampling."""
+    h, w = image.shape[-3:-1]
     if (h, w) == (out_h, out_w):
         return image.copy()
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
@@ -141,8 +148,9 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.clip(x0 + 1, 0, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    rows0, rows1 = image[..., y0, :, :], image[..., y1, :, :]
+    top = rows0[..., x0, :] * (1 - wx) + rows0[..., x1, :] * wx
+    bot = rows1[..., x0, :] * (1 - wx) + rows1[..., x1, :] * wx
     return top * (1 - wy) + bot * wy
 
 

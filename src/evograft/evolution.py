@@ -101,7 +101,7 @@ def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
     accepting each with probability 0.5^selections; uniform fallback."""
     if not system.models:
         raise EvolutionError("cannot sample a parent from an empty system")
-    scored = sorted(active, key=lambda m: (-score_model(system, m), m.created_at))
+    scored = sorted(active, key=lambda m: (-score_model(system, m), m.id))
     active_ids = {m.id for m in active}
     others = sorted((m for m in system.models.values() if m.id not in active_ids),
                     key=lambda m: m.id)
@@ -208,7 +208,7 @@ def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
 
     survivors = [m for m in active if m.id in system.models]
     if survivors:
-        best = min(survivors, key=lambda m: (-score_model(system, m), m.created_at))
+        best = min(survivors, key=lambda m: (-score_model(system, m), m.id))
         for model in list(system.models.values()):
             if model.task == task and model.id != best.id:
                 system.discard_model(model)
@@ -227,7 +227,7 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
         models = system.models_for(name)
         if not models:
             continue
-        best = max(models, key=lambda m: (score_model(system, m), -m.created_at))
+        best = max(models, key=lambda m: (score_model(system, m), -m.id))
         test_images, test_labels = datasets[name].split("test")
         acc = evaluate(system, best, test_images, test_labels)
         per_task[name] = (acc, system.accounted_params(best),

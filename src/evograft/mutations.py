@@ -168,9 +168,7 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
             hparams[axis] = system.space.step_value(axis, hparams[axis], rng)
 
     child = ModelSpec(id=system.new_model_id(), task=task, layers=layers,
-                      hparams=hparams, mu={}, parent_id=parent.id,
-                      created_at=system.created_counter)
-    system.created_counter += 1
+                      hparams=hparams, mu={}, parent_id=parent.id)
     child.mu = inherit_mu(parent.mu, possible_mutations(system, child, mode), rng)
     return child
 

@@ -115,26 +115,16 @@ class SearchSpace:
         return "".join(format_axis_line(a) + "\n" for a in self.axes.values())
 
 
+MU_AXIS = HparamAxis("mu", MU_GRID, MU_GRID.index(MU_INIT))
+
+
 def mu_neighbors(value: float) -> tuple[float, ...]:
     """Adjacent members of the mutation-probability grid."""
-    i = _mu_index(value)
-    out = []
-    if i > 0:
-        out.append(MU_GRID[i - 1])
-    if i < len(MU_GRID) - 1:
-        out.append(MU_GRID[i + 1])
-    return tuple(out)
+    return MU_AXIS.neighbors(value)
 
 
 def on_mu_grid(value: float) -> bool:
-    return any(abs(value - g) < 1e-9 for g in MU_GRID)
-
-
-def _mu_index(value: float) -> int:
-    for i, g in enumerate(MU_GRID):
-        if abs(value - g) < 1e-9:
-            return i
-    raise SpaceError(f"value {value!r} is not on the mutation-probability grid")
+    return value in MU_AXIS.values
 
 
 def parse_value(token: str):

@@ -80,7 +80,6 @@ class ModelSpec:
     hparams: dict
     mu: dict
     parent_id: int | None = None
-    created_at: int = 0
     quality: float | None = None
     score_snapshot: float | None = None
 
@@ -113,7 +112,6 @@ class SystemState:
         self.run_position: tuple[str, int] | None = None
         self.next_block_id = 0
         self.next_model_id = 0
-        self.created_counter = 0
         self.iterations_done = 0
 
     # -- block and model lifecycle -------------------------------------------
@@ -146,7 +144,7 @@ class SystemState:
 
     def models_for(self, task: str) -> list[ModelSpec]:
         out = [m for m in self.models.values() if m.task == task]
-        out.sort(key=lambda m: m.created_at)
+        out.sort(key=lambda m: m.id)
         return out
 
     def tasks_with_models(self) -> list[str]:
@@ -312,9 +310,7 @@ def init_system(space: SearchSpace, seed: int, width: int = 32, depth: int = 4,
     layers.append((head.id, False))
 
     root = ModelSpec(id=system.new_model_id(), task=root_task, layers=layers,
-                     hparams=space.default_config(), mu={}, parent_id=None,
-                     created_at=system.created_counter)
-    system.created_counter += 1
+                     hparams=space.default_config(), mu={}, parent_id=None)
     system.commit_model(root)
     return system
 

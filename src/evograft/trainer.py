@@ -46,43 +46,38 @@ class CycleStats:
     mean_loss: float
 
 
-def planned_sample_count(split_size: int, samples_cap: int) -> int:
-    """Samples consumed by one cycle: min(one epoch, the cap)."""
-    return min(split_size, samples_cap)
-
-
 # -- preprocessing -------------------------------------------------------------
 
-def preprocess(image: np.ndarray, hparams: dict, rng: Rng | None,
-               train_mode: bool) -> np.ndarray:
-    """One (h, w, c) uint8 image to a float32 (res, res, c) tensor in [-1, 1].
+def preprocess_batch(images: np.ndarray, hparams: dict, rng: Rng | None,
+                     train_mode: bool) -> np.ndarray:
+    """(n, h, w, c) uint8 images to a float32 (n, res, res, c) batch in [-1, 1].
 
-    Train mode: random crop, resize to the resolution hyperparameter, optional
-    horizontal flip, color jitter bounded by the per-axis deltas, quality
-    quantization, then scaling. Eval mode is the deterministic resize + scale
-    and never touches the rng.
+    Train mode augments each image in turn: random crop, resize to the
+    resolution hyperparameter, optional horizontal flip, color jitter bounded
+    by the per-axis deltas, quality quantization. Eval mode is one
+    deterministic resize of the whole batch and never touches the rng.
     """
-    if image.ndim != 3 or image.dtype != np.uint8:
-        raise TrainerError(f"expected uint8 (h, w, c) image, got {image.shape} {image.dtype}")
-    x = image.astype(np.float64) / 255.0
+    if images.ndim != 4 or images.dtype != np.uint8:
+        raise TrainerError(
+            f"expected uint8 (n, h, w, c) images, got {images.shape} {images.dtype}")
+    x = images.astype(np.float64) / 255.0
     res = hparams[RESOLUTION_AXIS]
-    if not train_mode:
-        return (bilinear_resize(x, res, res) * 2.0 - 1.0).astype(np.float32)
+    if train_mode:
+        if rng is None:
+            raise TrainerError("training preprocessing needs an rng")
+        x = np.stack([_augment(img, hparams, res, rng) for img in x])
+    else:
+        x = bilinear_resize(x, res, res)
+    return (x * 2.0 - 1.0).astype(np.float32)
 
-    if rng is None:
-        raise TrainerError("training preprocessing needs an rng")
+
+def _augment(x: np.ndarray, hparams: dict, res: int, rng: Rng) -> np.ndarray:
     x = _random_crop(x, hparams["crop_area_min"], hparams["crop_aspect_min"], rng)
     x = bilinear_resize(x, res, res)
     if hparams["flip"] and rng.uniform() < 0.5:
         x = x[:, ::-1, :]
     x = _color_jitter(x, hparams, rng)
-    x = _quality_quantize(x, hparams["quality_delta"], rng)
-    return (x * 2.0 - 1.0).astype(np.float32)
-
-
-def preprocess_batch(images: np.ndarray, hparams: dict, rng: Rng | None,
-                     train_mode: bool) -> np.ndarray:
-    return np.stack([preprocess(img, hparams, rng, train_mode) for img in images])
+    return _quality_quantize(x, hparams["quality_delta"], rng)
 
 
 def _random_crop(x: np.ndarray, area_min: float, aspect_min: float, rng: Rng):
@@ -231,11 +226,6 @@ def loss_and_gradients(system: SystemState, model: ModelSpec, batch: np.ndarray,
     return loss_value, grads
 
 
-def gradients(system: SystemState, model: ModelSpec, batch: np.ndarray,
-              labels: np.ndarray, dtype=np.float32) -> dict[int, np.ndarray]:
-    return loss_and_gradients(system, model, batch, labels, dtype)[1]
-
-
 # -- optimization ----------------------------------------------------------------
 
 def lr_at(step: int, total_steps: int, peak_lr: float, warmup_ratio: float) -> float:
@@ -276,7 +266,7 @@ def train_cycle(system: SystemState, model: ModelSpec, dataset: TaskDataset,
     images, labels = dataset.split("train")
     if len(images) == 0:
         raise TrainerError(f"dataset {dataset.name!r} has an empty training split")
-    n = planned_sample_count(len(images), budget.samples_cap)
+    n = min(len(images), budget.samples_cap)
     order = list(range(len(images)))
     rng.shuffle(order)
     order = order[:n]

@@ -105,9 +105,7 @@ def add_model(system: SystemState, task: str, trunk_ids: list[int],
         hparams["resolution"] = resolution
     model = ModelSpec(id=system.new_model_id(), task=task,
                       layers=[(bid, False) for bid in trunk_ids] + [(head.id, True)],
-                      hparams=hparams, mu={}, created_at=system.created_counter,
-                      quality=quality)
-    system.created_counter += 1
+                      hparams=hparams, mu={}, quality=quality)
     system.commit_model(model)
     return model
 

@@ -109,6 +109,25 @@ def test_corrupt_manifest_line_rejected(tmp_path):
         load_checkpoint(str(tmp_path / "missing"))
 
 
+def test_creation_index_that_differs_from_the_id_is_rejected(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    model_line = next(line for line in text.splitlines() if line.startswith("model "))
+    parts = model_line.split()  # model <id> <task> <parent> <created> ...
+    assert parts[4] == parts[1]
+    wrong_model = " ".join(parts[:4] + [str(int(parts[1]) + 1)] + parts[5:])
+    n = system.next_model_id
+    for old, new, reason in (
+            (model_line, wrong_model, "creation index"),
+            (f"models={n} created={n} ", f"models={n} created={n + 1} ", "created=")):
+        assert text.count(old) == 1
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=reason):
+            load_checkpoint(str(tmp_path))
+
+
 def test_interrupted_and_resumed_run_matches_straight_run(tmp_path):
     from evograft.evolution import metrics_snapshot
     straight = evolved_system(iterations=2)

@@ -3,7 +3,7 @@ import shutil
 import subprocess
 import sys
 
-from evograft import checkpoint
+from evograft import checkpoint, data
 from evograft.checkpoint import checkpoint_digest, load_checkpoint
 from evograft.cli import main
 from evograft.search_space import load_builtin_space
@@ -193,6 +193,39 @@ def test_add_tasks_registers_new_datasets(tmp_path, capsys):
     assert main(["add-tasks", "--checkpoint", ckpt, "--tasks", extra]) == 0
     system = load_checkpoint(ckpt)
     assert set(system.task_paths) == {"alpha", "beta", "gamma"}
+    capsys.readouterr()
+
+
+def test_add_tasks_rejects_a_different_channel_count(tmp_path, capsys):
+    ckpt, _, root = setup_workspace(tmp_path)
+    gray = write(root / "gray.spec",
+                 "task gray classes=3 h=16 w=16 c=1 train=32 val=16 test=16\n")
+    extra = str(root / "gray_tasks")
+    assert main(["gen-tasks", "--spec", gray, "--seed", "6", "--out", extra]) == 0
+    before = checkpoint_digest(ckpt)
+    capsys.readouterr()
+    assert main(["add-tasks", "--checkpoint", ckpt, "--tasks", extra]) == 1
+    assert "tasks disagree on channel count: [1, 3]" in capsys.readouterr().err
+    assert checkpoint_digest(ckpt) == before
+
+
+def test_init_and_add_tasks_read_each_needed_split_once(tmp_path, monkeypatch, capsys):
+    reads = []
+    read_split = data.read_split
+    monkeypatch.setattr(data, "read_split",
+                        lambda path: reads.append(path) or read_split(path))
+    ckpt, tasks, root = setup_workspace(tmp_path)
+    assert len(reads) == 6 and len(set(reads)) == 6  # 2 tasks x 3 splits
+
+    reads.clear()
+    assert main(["add-tasks", "--checkpoint", ckpt, "--tasks", tasks]) == 0
+    assert reads == []
+
+    more = write(root / "more.spec",
+                 "task gamma classes=3 h=16 w=16 c=3 train=32 val=16 test=16\n")
+    assert main(["gen-tasks", "--spec", more, "--seed", "6", "--out", tasks]) == 0
+    assert main(["add-tasks", "--checkpoint", ckpt, "--tasks", tasks]) == 0
+    assert sorted(os.path.basename(os.path.dirname(p)) for p in reads) == ["gamma"] * 3
     capsys.readouterr()
 
 

@@ -122,3 +122,7 @@ def test_bilinear_resize_properties():
     assert np.allclose(bilinear_resize(const, 9, 9), 0.37)
     same = bilinear_resize(image, 6, 6)
     assert np.array_equal(same, image)
+    batch = rng.uniform(0.0, 1.0, size=(4, 7, 5, 3))
+    for out_h, out_w in ((12, 12), (3, 4), (7, 5)):
+        singles = np.stack([bilinear_resize(img, out_h, out_w) for img in batch])
+        assert bilinear_resize(batch, out_h, out_w).tobytes() == singles.tobytes()

@@ -188,7 +188,7 @@ def test_head_sharing_across_tasks_rejected():
     donor = add_model(system, "a", trunk, 4, 2)
     thief = ModelSpec(id=system.new_model_id(), task="b",
                       layers=list(donor.layers), hparams=system.space.default_config(),
-                      mu={}, created_at=99)
+                      mu={})
     with pytest.raises(SystemError_):
         system.commit_model(thief)
 
@@ -225,6 +225,6 @@ def test_validate_model_rejects_bad_layer_order():
     trunk = simple_trunk(system)
     bad = ModelSpec(id=system.new_model_id(), task="a",
                     layers=[(trunk[1], False), (trunk[0], False), (trunk[2], True)],
-                    hparams=system.space.default_config(), mu={}, created_at=0)
+                    hparams=system.space.default_config(), mu={})
     with pytest.raises(SystemError_):
         system.commit_model(bad)
