@@ -24,8 +24,7 @@ from .rng import Rng
 from .scoring import ScoreParams, calibrate, score, score_model
 from .search_space import (MU_GRID, MU_INIT, HparamAxis, SearchSpace,
                            load_builtin_space, load_space, mu_neighbors)
-from .system import (LayerBlock, ModelSpec, SystemState, export_dot,
-                     init_system)
+from .system import LayerBlock, ModelSpec, SystemState, export_dot
 from .trainer import (TrainBudget, evaluate, forward, loss, loss_and_gradients,
                       lr_at, preprocess_batch, sgd_step, train_cycle)
 

@@ -43,7 +43,7 @@ def write_manifest(system: SystemState) -> str:
     lines.append(f"rng {seed} {label} {counter}")
     sp = system.score_params
     lines.append(f"score s={sp.s!r} P={sp.P!r} F={sp.F!r} "
-                 f"size={int(sp.size_factor_enabled)} compute={int(sp.compute_factor_enabled)}")
+                 f"size=1 compute={int(sp.compute_factor_enabled)}")
     lines.append(f"counters blocks={system.next_block_id} models={system.next_model_id} "
                  f"created={system.next_model_id} iterations={system.iterations_done}")
     for axis in system.space.axes.values():
@@ -173,12 +173,13 @@ def load_checkpoint(path: str) -> SystemState:
         try:
             if key == "rng":
                 seed, label, counter = rest.split()
-                rng = Rng.from_state(int(seed), label, int(counter))
+                rng = Rng(int(seed), label, int(counter))
             elif key == "score":
                 fields = dict(tok.split("=", 1) for tok in rest.split())
+                if int(fields["size"]) != 1:
+                    raise CheckpointError("size= must be 1: the size factor is always on")
                 score = ScoreParams(s=float(fields["s"]), P=float(fields["P"]),
                                     F=float(fields["F"]),
-                                    size_factor_enabled=bool(int(fields["size"])),
                                     compute_factor_enabled=bool(int(fields["compute"])))
             elif key == "counters":
                 counters = {k: int(v) for k, v in

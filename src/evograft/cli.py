@@ -19,12 +19,8 @@ from .data import (DatasetError, generate_synthetic_tasks, load_gen_spec, load_t
 from .evolution import EvolutionConfig, bootstrap_system, load_segments, run_plan
 from .scoring import calibrate
 from .search_space import load_space
-from .system import SystemState, export_dot
+from .system import export_dot
 from .reports import emit_reports
-
-
-def _load_registered(system: SystemState):
-    return {name: load_task_dir(path) for name, path in system.task_paths.items()}
 
 
 def _channel_count(datasets) -> int:
@@ -56,8 +52,11 @@ def cmd_run(args) -> None:
               f"params={snap.mean_accounted_params:.1f} "
               f"flops={snap.mean_inference_flops:.0f}")
 
-    run_plan(system, segments, _load_registered(system), EvolutionConfig(),
-             on_iteration=save_progress)
+    # A task the plan names but the checkpoint lacks fails in run_plan's check.
+    named = {name for segment in segments for name in segment.tasks}
+    datasets = {name: load_task_dir(system.task_paths[name])
+                for name in sorted(named) if name in system.task_paths}
+    run_plan(system, segments, datasets, EvolutionConfig(), on_iteration=save_progress)
     ckpt.save_checkpoint(system, args.checkpoint)
     print(f"run complete: {system.iterations_done} task iteration(s) total")
 

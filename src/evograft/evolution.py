@@ -1,4 +1,5 @@
-"""Evolutionary loop: parent sampling, child training with retention, segments.
+"""Bootstrap and the evolutionary loop: parent sampling, child training with
+retention, segments.
 
 One task iteration runs a fixed number of generations for a single active
 task. Each generation spawns children by sampling a parent (best-scoring
@@ -29,9 +30,10 @@ from .mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET_PLUS, MODES,
                         apply_mutations, clone_action, fresh_mu_table,
                         sample_mutations)
 from .rng import Rng
-from .scoring import calibrate, score_model
-from .search_space import SearchSpace
-from .system import ROOT_TASK, ModelSpec, SystemState, init_system
+from .scoring import ScoreParams, calibrate, mean_costs, score_model
+from .search_space import RESOLUTION_AXIS, SearchSpace
+from .system import (EMBEDDING, HEAD, HIDDEN, MIN_HIDDEN_DEPTH, ROOT_TASK, ModelSpec,
+                     SystemError_, SystemState, init_params, zero_params)
 from .trainer import TrainBudget, TrainerError, evaluate, train_cycle
 
 log = logging.getLogger("evograft")
@@ -87,12 +89,43 @@ def parent_acceptance_probability(selections: int) -> float:
 
 def bootstrap_system(space: SearchSpace, seed: int, width: int = 32, depth: int = 4,
                      patch: int = 8, channels: int = 3) -> SystemState:
-    """Fresh system whose root model carries a fully initialized mutation table."""
-    system = init_system(space, seed, width=width, depth=depth, patch=patch,
-                         channels=channels)
-    root = next(iter(system.models.values()))
+    """Create a fresh system holding one untrained root model whose mutation
+    table lists every action at the initial probability.
+
+    The root's embedding maps one (patch x patch x channels) tile to ``width``
+    features, so its weights do not depend on the resolution hyperparameter;
+    every resolution in the axis table must be divisible by ``patch``. The
+    init stream draws the embedding, then each hidden block; the head starts
+    at zero and draws nothing.
+    """
+    if depth < MIN_HIDDEN_DEPTH:
+        raise SystemError_(f"root depth must be at least {MIN_HIDDEN_DEPTH}")
+    for res in space.axis(RESOLUTION_AXIS).values:
+        if res % patch != 0:
+            raise SystemError_(f"resolution {res} is not divisible by patch {patch}")
+
+    system = SystemState(space, ScoreParams(), Rng(seed, "run"))
+    init_rng = system.rng.spawn("init")
+    d_embed = patch * patch * channels
+    layers = []
+    for kind, d_in in [(EMBEDDING, d_embed)] + [(HIDDEN, width)] * depth:
+        block = system.add_block(kind, d_in, width, init_params(init_rng, d_in, width),
+                                 zero_params(d_in, width), ROOT_TASK)
+        layers.append((block.id, False))
+    head = system.add_block(HEAD, width, 1, zero_params(width, 1), zero_params(width, 1),
+                            ROOT_TASK)
+    layers.append((head.id, False))
+
+    root = ModelSpec(id=system.new_model_id(), task=ROOT_TASK, layers=layers,
+                     hparams=space.default_config(), mu={})
     root.mu = fresh_mu_table(system, root, MODE_MUNET_PLUS)
+    system.commit_model(root)
     return system
+
+
+def _best_first(system: SystemState, models: list[ModelSpec]) -> list[ModelSpec]:
+    """Models by descending score; the lower id first among equal scores."""
+    return sorted(models, key=lambda m: (-score_model(system, m), m.id))
 
 
 def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
@@ -101,7 +134,7 @@ def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
     accepting each with probability 0.5^selections; uniform fallback."""
     if not system.models:
         raise EvolutionError("cannot sample a parent from an empty system")
-    scored = sorted(active, key=lambda m: (-score_model(system, m), m.id))
+    scored = _best_first(system, active)
     active_ids = {m.id for m in active}
     others = sorted((m for m in system.models.values() if m.id not in active_ids),
                     key=lambda m: m.id)
@@ -119,14 +152,6 @@ def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
     key = (chosen.id, task)
     system.selection_counts[key] = system.selection_counts.get(key, 0) + 1
     return chosen
-
-
-def _snapshot_payload(system: SystemState, model: ModelSpec) -> dict:
-    payload = {}
-    for bid in model.trainable_ids():
-        block = system.block(bid)
-        payload[bid] = (block.params.copy(), block.opt.copy())
-    return payload
 
 
 def _restore_payload(system: SystemState, payload: dict) -> None:
@@ -154,7 +179,8 @@ def _train_child(system: SystemState, child: ModelSpec, parent: ModelSpec,
         if parent_on_task:
             bar = max(bar, score_model(system, parent))
         if candidate >= bar:
-            best = (quality, _snapshot_payload(system, child))
+            best = (quality, {bid: system.block(bid).clone_arrays()
+                              for bid in child.trainable_ids()})
     return best
 
 
@@ -206,12 +232,10 @@ def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
     for _ in range(cfg.generations):
         run_generation(system, task, dataset, cfg, active, rng)
 
-    survivors = [m for m in active if m.id in system.models]
-    if survivors:
-        best = min(survivors, key=lambda m: (-score_model(system, m), m.id))
-        for model in list(system.models.values()):
-            if model.task == task and model.id != best.id:
-                system.discard_model(model)
+    if active:
+        best, *rest = _best_first(system, active)
+        for model in rest:
+            system.discard_model(model)
         best.score_snapshot = score_model(system, best)
     system.iterations_done += 1
     return system
@@ -227,25 +251,52 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
         models = system.models_for(name)
         if not models:
             continue
-        best = max(models, key=lambda m: (score_model(system, m), -m.id))
+        best = _best_first(system, models)[0]
         test_images, test_labels = datasets[name].split("test")
         acc = evaluate(system, best, test_images, test_labels)
         per_task[name] = (acc, system.accounted_params(best),
                           float(system.inference_flops(best)))
-    models = list(system.models.values())
     mean_acc = (sum(v[0] for v in per_task.values()) / len(per_task)) if per_task else 0.0
-    mean_params = sum(system.accounted_params(m) for m in models) / len(models)
-    mean_flops = sum(system.inference_flops(m) for m in models) / len(models)
+    mean_params, mean_flops = mean_costs(system)
     return MetricsSnapshot(index=system.iterations_done, segment=segment, task=task,
                            mean_test_accuracy=mean_acc,
                            mean_accounted_params=mean_params,
                            mean_inference_flops=mean_flops, per_task=per_task)
 
 
+def _segment_config(segment: SegmentSpec, datasets: dict[str, TaskDataset],
+                    base_cfg: EvolutionConfig) -> EvolutionConfig:
+    """The config the segment's iterations run under.
+
+    Raises on a task missing from ``datasets`` and on any override that
+    ``EvolutionConfig``, ``TrainBudget`` or ``ScoreParams`` rejects, without
+    touching the system, so a whole plan can be checked before it runs.
+    """
+    for name in segment.tasks:
+        if name not in datasets:
+            raise EvolutionError(f"segment {segment.label!r} names unknown task {name!r}")
+    if segment.s is not None:
+        ScoreParams(s=segment.s)
+    if segment.recalibrate is not None:
+        # calibrate sets P and F to the multiplier times positive cost means
+        ScoreParams(P=segment.recalibrate, F=segment.recalibrate)
+    cfg = base_cfg
+    if segment.mode is not None:
+        cfg = replace(cfg, mode=segment.mode)
+    if segment.generations is not None:
+        cfg = replace(cfg, generations=segment.generations)
+    if segment.children is not None:
+        cfg = replace(cfg, children_per_generation=segment.children)
+    if segment.cycles is not None:
+        cfg = replace(cfg, train_cycles=segment.cycles)
+    if segment.samples_cap is not None:
+        cfg = replace(cfg, budget=replace(cfg.budget, samples_cap=segment.samples_cap))
+    return cfg
+
+
 def run_segment(system: SystemState, segment: SegmentSpec,
                 datasets: dict[str, TaskDataset], base_cfg: EvolutionConfig,
-                rng: Rng | None = None, on_iteration=None,
-                start: int = 0) -> list[MetricsSnapshot]:
+                on_iteration=None, start: int = 0) -> list[MetricsSnapshot]:
     """Apply the segment's overrides, then run its round-robin task iterations.
 
     ``start`` is the number of the segment's iterations a resumed checkpoint
@@ -254,17 +305,7 @@ def run_segment(system: SystemState, segment: SegmentSpec,
     recalibration is not idempotent. ``on_iteration`` is called with each
     fresh snapshot.
     """
-    for name in segment.tasks:
-        if name not in datasets:
-            raise EvolutionError(f"segment {segment.label!r} names unknown task {name!r}")
-    if rng is None:
-        rng = system.rng
-
-    cfg = replace(base_cfg)
-    if segment.mode is not None:
-        if segment.mode not in MODES:
-            raise EvolutionError(f"unknown mode {segment.mode!r}")
-        cfg = replace(cfg, mode=segment.mode)
+    cfg = _segment_config(segment, datasets, base_cfg)
     if start == 0:
         if segment.mode is not None:
             system.score_params = replace(
@@ -274,20 +315,11 @@ def run_segment(system: SystemState, segment: SegmentSpec,
             system.score_params = replace(system.score_params, s=segment.s)
         if segment.recalibrate is not None:
             system.score_params = calibrate(system, segment.recalibrate)
-    if segment.generations is not None:
-        cfg = replace(cfg, generations=segment.generations)
-    if segment.children is not None:
-        cfg = replace(cfg, children_per_generation=segment.children)
-    if segment.cycles is not None:
-        cfg = replace(cfg, train_cycles=segment.cycles)
-    if segment.samples_cap is not None:
-        cfg = replace(cfg, budget=TrainBudget(samples_cap=segment.samples_cap,
-                                              batch_size=cfg.budget.batch_size))
 
     snapshots = []
     order = [task for _ in range(segment.iterations) for task in segment.tasks]
     for task in order[start:]:
-        run_task_iteration(system, task, datasets[task], cfg, rng)
+        run_task_iteration(system, task, datasets[task], cfg, system.rng)
         snap = metrics_snapshot(system, datasets, segment.tasks, segment.label, task)
         system.history.append(snap)
         snapshots.append(snap)
@@ -305,8 +337,11 @@ def run_plan(system: SystemState, segments: list[SegmentSpec],
     are skipped, and the named one resumes after its recorded iterations. The
     position advances before ``on_iteration(snap)`` is called, so a
     checkpoint saved there resumes after that iteration. Rerunning a finished
-    plan does nothing.
+    plan does nothing. Every segment is checked before the first iteration,
+    so a bad plan fails without changing the system.
     """
+    for segment in segments:
+        _segment_config(segment, datasets, base_cfg)
     first, done = 0, 0
     if system.run_position is not None:
         label, done = system.run_position
@@ -354,7 +389,7 @@ def parse_segments(text: str) -> list[SegmentSpec]:
         try:
             if key == "mode":
                 if value not in MODES:
-                    raise EvolutionError(f"line {lineno}: unknown mode {value!r}")
+                    raise ValueError(f"unknown mode {value!r}")
                 current.mode = value
             elif key == "s":
                 current.s = float(value)
@@ -364,6 +399,8 @@ def parse_segments(text: str) -> list[SegmentSpec]:
                 current.tasks = [t.strip() for t in value.split(",") if t.strip()]
             elif key == "iterations":
                 current.iterations = int(value)
+                if current.iterations < 0:
+                    raise ValueError("iterations must not be negative")
             elif key == "generations":
                 current.generations = int(value)
             elif key == "children":

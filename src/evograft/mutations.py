@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .rng import Rng
 from .search_space import MU_INIT, RESOLUTION_AXIS, mu_neighbors, on_mu_grid
-from .system import HEAD, MIN_HIDDEN_DEPTH, ModelSpec, SystemState
+from .system import HEAD, MIN_HIDDEN_DEPTH, ModelSpec, SystemState, zero_params
 
 MODE_MUNET = "munet"
 MODE_MUNET_PLUS = "munet_plus"
@@ -157,8 +155,8 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
                 f"parent head has {parent_head.d_out} classes, task needs {num_classes}")
         params, opt = parent_head.clone_arrays()
     else:
-        params = _zeros(width, num_classes)
-        opt = _zeros(width, num_classes)
+        params = zero_params(width, num_classes)
+        opt = zero_params(width, num_classes)
     head = system.add_block(HEAD, width, num_classes, params, opt, task)
     layers.append((head.id, True))
 
@@ -190,7 +188,3 @@ def _validate_actions(parent: ModelSpec, actions: set[MutationAction],
                 raise MutationError(f"unknown hyperparameter axis {action.arg!r}")
         else:
             raise MutationError(f"unknown action kind {action.kind!r}")
-
-
-def _zeros(d_in: int, d_out: int) -> np.ndarray:
-    return np.zeros(d_in * d_out + d_out, dtype=np.float32)

@@ -66,10 +66,6 @@ class Rng:
     def state(self) -> tuple[int, str, int]:
         return (self.seed, self.label, self.counter)
 
-    @classmethod
-    def from_state(cls, seed: int, label: str, counter: int) -> "Rng":
-        return cls(seed, label, counter)
-
     def raw(self) -> int:
         out = _finalize((self._key + (self.counter + 1) * _GOLDEN) & _MASK)
         self.counter += 1

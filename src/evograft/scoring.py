@@ -9,7 +9,7 @@ metric, so P and F set the cost scale at which penalties bite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -17,7 +17,6 @@ class ScoreParams:
     s: float = 1.0
     P: float = 1.0
     F: float = 1.0
-    size_factor_enabled: bool = True
     compute_factor_enabled: bool = True
 
     def __post_init__(self):
@@ -33,9 +32,7 @@ class ScoreParams:
 
 
 def score(q: float, accounted: float, flops: float, sp: ScoreParams) -> float:
-    value = q
-    if sp.size_factor_enabled:
-        value *= sp.s ** (accounted / sp.P)
+    value = q * sp.s ** (accounted / sp.P)
     if sp.compute_factor_enabled:
         value *= sp.s ** (flops / sp.F)
     return value
@@ -51,17 +48,20 @@ def score_model(system, model, q: float | None = None) -> float:
                  system.score_params)
 
 
+def mean_costs(system) -> tuple[float, float]:
+    """Mean accounted parameters and mean inference flops over all models."""
+    models = list(system.models.values())
+    return (sum(system.accounted_params(m) for m in models) / len(models),
+            sum(system.inference_flops(m) for m in models) / len(models))
+
+
 def calibrate(system, multiplier: float) -> ScoreParams:
     """Scale P and F to ``multiplier`` times the current system-wide means.
 
-    The scale factor and the enable flags are carried over unchanged.
+    The scale factor and the compute switch are carried over unchanged.
     """
-    models = list(system.models.values())
-    if not models:
+    if not system.models:
         raise ValueError("cannot calibrate score parameters on an empty system")
-    mean_params = sum(system.accounted_params(m) for m in models) / len(models)
-    mean_flops = sum(system.inference_flops(m) for m in models) / len(models)
-    sp = system.score_params
-    return ScoreParams(s=sp.s, P=multiplier * mean_params, F=multiplier * mean_flops,
-                       size_factor_enabled=sp.size_factor_enabled,
-                       compute_factor_enabled=sp.compute_factor_enabled)
+    mean_params, mean_flops = mean_costs(system)
+    return replace(system.score_params, P=multiplier * mean_params,
+                   F=multiplier * mean_flops)

@@ -230,10 +230,8 @@ def embedding_flops(block: LayerBlock, resolution: int) -> int:
     return patch_count(block, resolution) * dense_flops(block.d_in, block.d_out)
 
 
-def patch_count(block: LayerBlock, resolution: int, channels: int | None = None) -> int:
-    if channels is None:
-        channels = _infer_channels(block)
-    patch = _patch_side(block, channels)
+def patch_count(block: LayerBlock, resolution: int) -> int:
+    patch = _patch_side(block, _infer_channels(block))
     if resolution % patch != 0:
         raise SystemError_(
             f"resolution {resolution} is not divisible by patch side {patch}")
@@ -262,57 +260,16 @@ def _is_square(n: int) -> bool:
 
 # -- construction ------------------------------------------------------------
 
-def init_params(rng: Rng, d_in: int, d_out: int, zero: bool = False) -> np.ndarray:
-    """Weight ~ U(-1/sqrt(d_in), 1/sqrt(d_in)), zero bias; or all zeros."""
-    n = d_in * d_out + d_out
-    if zero:
-        return np.zeros(n, dtype=np.float32)
+def init_params(rng: Rng, d_in: int, d_out: int) -> np.ndarray:
+    """Weight ~ U(-1/sqrt(d_in), 1/sqrt(d_in)), zero bias."""
     bound = 1.0 / (d_in ** 0.5)
     weight = (rng.uniforms(d_in * d_out) * 2.0 - 1.0) * bound
     return np.concatenate([weight, np.zeros(d_out)]).astype(np.float32)
 
 
-def init_system(space: SearchSpace, seed: int, width: int = 32, depth: int = 4,
-                patch: int = 8, channels: int = 3, root_task: str = ROOT_TASK):
-    """Create a fresh system seeded with an untrained root model.
-
-    The root's embedding maps one (patch x patch x channels) tile to ``width``
-    features, so its weights do not depend on the resolution hyperparameter;
-    every resolution in the axis table must be divisible by ``patch``.
-    """
-    from .scoring import ScoreParams
-
-    if depth < MIN_HIDDEN_DEPTH:
-        raise SystemError_(f"root depth must be at least {MIN_HIDDEN_DEPTH}")
-    for res in space.axis(RESOLUTION_AXIS).values:
-        if res % patch != 0:
-            raise SystemError_(f"resolution {res} is not divisible by patch {patch}")
-
-    system = SystemState(space, ScoreParams(), Rng(seed, "run"))
-    init_rng = system.rng.spawn("init")
-    d_embed = patch * patch * channels
-    layers: list[tuple[int, bool]] = []
-    block = system.add_block(EMBEDDING, d_embed, width,
-                             init_params(init_rng, d_embed, width),
-                             np.zeros(d_embed * width + width, dtype=np.float32),
-                             root_task)
-    layers.append((block.id, False))
-    for _ in range(depth):
-        block = system.add_block(HIDDEN, width, width,
-                                 init_params(init_rng, width, width),
-                                 np.zeros(width * width + width, dtype=np.float32),
-                                 root_task)
-        layers.append((block.id, False))
-    head = system.add_block(HEAD, width, 1,
-                            init_params(init_rng, width, 1, zero=True),
-                            np.zeros(width + 1, dtype=np.float32),
-                            root_task)
-    layers.append((head.id, False))
-
-    root = ModelSpec(id=system.new_model_id(), task=root_task, layers=layers,
-                     hparams=space.default_config(), mu={}, parent_id=None)
-    system.commit_model(root)
-    return system
+def zero_params(d_in: int, d_out: int) -> np.ndarray:
+    """All-zero flat array for one dense map: a fresh head or optimizer state."""
+    return np.zeros(d_in * d_out + d_out, dtype=np.float32)
 
 
 # -- DOT export ---------------------------------------------------------------

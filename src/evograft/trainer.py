@@ -25,6 +25,11 @@ from .search_space import RESOLUTION_AXIS
 from .system import EMBEDDING, HEAD, ModelSpec, SystemState
 
 
+# Evaluation forwards at most this many images at once. Another chunk size
+# can change the BLAS sums, so it is fixed.
+EVAL_CHUNK = 256
+
+
 class TrainerError(ValueError):
     pass
 
@@ -164,9 +169,8 @@ def _forward_cached(system: SystemState, model: ModelSpec, batch: np.ndarray, dt
     return logits, (blocks, patches, inputs, tanhs, z)
 
 
-def forward(system: SystemState, model: ModelSpec, batch: np.ndarray,
-            dtype=np.float32) -> np.ndarray:
-    logits, _ = _forward_cached(system, model, batch, dtype)
+def forward(system: SystemState, model: ModelSpec, batch: np.ndarray) -> np.ndarray:
+    logits, _ = _forward_cached(system, model, batch, np.float32)
     return logits
 
 
@@ -290,14 +294,14 @@ def train_cycle(system: SystemState, model: ModelSpec, dataset: TaskDataset,
 
 
 def evaluate(system: SystemState, model: ModelSpec, images: np.ndarray,
-             labels: np.ndarray, batch_size: int = 256) -> float:
+             labels: np.ndarray) -> float:
     """Top-1 accuracy under deterministic eval preprocessing."""
     if len(images) == 0:
         raise TrainerError("cannot evaluate on an empty split")
     correct = 0
-    for start in range(0, len(images), batch_size):
-        chunk = preprocess_batch(images[start:start + batch_size], model.hparams,
+    for start in range(0, len(images), EVAL_CHUNK):
+        chunk = preprocess_batch(images[start:start + EVAL_CHUNK], model.hparams,
                                  None, train_mode=False)
         logits = forward(system, model, chunk)
-        correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
+        correct += int((logits.argmax(axis=1) == labels[start:start + EVAL_CHUNK]).sum())
     return correct / len(images)

@@ -62,7 +62,7 @@ def test_load_reproduces_every_field(tmp_path):
 
 def test_rng_resumes_mid_stream(tmp_path):
     system = evolved_system()
-    continuation = Rng.from_state(*system.rng.state())
+    continuation = Rng(*system.rng.state())
     upcoming = [continuation.uniform() for _ in range(3)]
     save_checkpoint(system, str(tmp_path))
     other = load_checkpoint(str(tmp_path))
@@ -126,6 +126,17 @@ def test_creation_index_that_differs_from_the_id_is_rejected(tmp_path):
         manifest.write_text(text.replace(old, new))
         with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(str(tmp_path))
+
+
+def test_size_factor_that_is_switched_off_is_rejected(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    assert text.count(" size=1 ") == 1
+    manifest.write_text(text.replace(" size=1 ", " size=0 "))
+    with pytest.raises(CheckpointError, match="size="):
+        load_checkpoint(str(tmp_path))
 
 
 def test_interrupted_and_resumed_run_matches_straight_run(tmp_path):

@@ -229,6 +229,44 @@ def test_init_and_add_tasks_read_each_needed_split_once(tmp_path, monkeypatch, c
     capsys.readouterr()
 
 
+def test_run_reads_only_the_tasks_its_plan_names(tmp_path, monkeypatch, capsys):
+    ckpt, _, root = setup_workspace(tmp_path)
+    reads = []
+    read_split = data.read_split
+    monkeypatch.setattr(data, "read_split",
+                        lambda path: reads.append(path) or read_split(path))
+    alpha_only = write(root / "alpha.txt", SEGMENTS.replace("alpha,beta", "alpha"))
+    assert main(["run", "--checkpoint", ckpt, "--segments", alpha_only]) == 0
+    assert sorted(os.path.basename(os.path.dirname(p)) for p in reads) == ["alpha"] * 3
+
+    before = checkpoint_digest(ckpt)
+    capsys.readouterr()
+    ghost = write(root / "ghost.txt", SEGMENTS.replace("alpha,beta", "alpha,ghost"))
+    assert main(["run", "--checkpoint", ckpt, "--segments", ghost]) == 1
+    err = capsys.readouterr().err
+    assert "names unknown task 'ghost'" in err and len(err.strip().splitlines()) == 1
+    assert checkpoint_digest(ckpt) == before
+
+
+def test_run_rejects_a_bad_plan_before_its_first_iteration(tmp_path, capsys):
+    ckpt, _, root = setup_workspace(tmp_path)
+    before = checkpoint_digest(ckpt)
+    capsys.readouterr()
+    for bad, reason in (
+            (SEGMENTS.replace("iterations 1", "iterations -3"), "line 6"),
+            (SEGMENTS + "\nsegment more\ntasks alpha\ngenerations 0\n",
+             "counts must be positive"),
+            (SEGMENTS + "\nsegment more\ntasks alpha\nsamples_cap 0\n",
+             "budget fields must be positive"),
+            (SEGMENTS + "\nsegment more\ns 1.5\n", "scale factor s"),
+            (SEGMENTS + "\nsegment more\nrecalibrate -1\n", "parameter scale P")):
+        plan = write(root / "bad.txt", bad)
+        assert main(["run", "--checkpoint", ckpt, "--segments", plan]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err, bad
+        assert checkpoint_digest(ckpt) == before
+
+
 def test_failures_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):
     assert main(["report", "--checkpoint", str(tmp_path / "ghost"), "--out",
                  str(tmp_path / "r")]) == 1

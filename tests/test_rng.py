@@ -13,7 +13,7 @@ def test_state_round_trip_resumes_mid_stream():
     a = Rng(42, "stream")
     for _ in range(17):
         a.uniform()
-    b = Rng.from_state(*a.state())
+    b = Rng(*a.state())
     assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
 
 

@@ -54,8 +54,6 @@ def test_equal_costs_rank_by_quality():
 def test_disabled_factors():
     sp = ScoreParams(s=0.5, P=1.0, F=1.0, compute_factor_enabled=False)
     assert score(1.0, 1.0, 999.0, sp) == 0.5
-    sp = ScoreParams(s=0.5, P=1.0, F=1.0, size_factor_enabled=False)
-    assert score(1.0, 999.0, 1.0, sp) == 0.5
 
 
 def test_score_params_validation():
@@ -111,7 +109,6 @@ def test_calibrate_preserves_s_and_flags():
     sp = calibrate(system, 2.0)
     assert sp.s == 0.97
     assert sp.compute_factor_enabled is False
-    assert sp.size_factor_enabled is True
 
 
 def test_calibrate_empty_system_errors():
