@@ -36,11 +36,13 @@ with tempfile.TemporaryDirectory() as tmp:
     for path in emit_reports(system, system.history, out):
         print("wrote", os.path.basename(path))
 
-    print("\n--- timeline.csv ---")
-    print(open(f"{out}/timeline.csv").read().strip())
-    print("\n--- hparam_hist.csv (first lines) ---")
-    print("\n".join(open(f"{out}/hparam_hist.csv").read().splitlines()[:6]))
-    print("\n--- clone_mu_fit.csv ---")
-    print(open(f"{out}/clone_mu_fit.csv").read().strip())
-    print("\n--- system.dot (head) ---")
-    print("\n".join(open(f"{out}/system.dot").read().splitlines()[:10]))
+    def show(name, heading, lines=None):
+        with open(f"{out}/{name}") as fh:
+            text = fh.read().strip()
+        print(f"\n--- {heading} ---")
+        print("\n".join(text.splitlines()[:lines]))
+
+    show("timeline.csv", "timeline.csv")
+    show("hparam_hist.csv", "hparam_hist.csv (first lines)", 6)
+    show("clone_mu_fit.csv", "clone_mu_fit.csv")
+    show("system.dot", "system.dot (head)", 10)

@@ -134,24 +134,46 @@ def scan_task_dirs(root: str) -> dict[str, str]:
     return paths
 
 
+def bilinear_taps(size, out: int):
+    """Half-pixel-centered bilinear taps to ``out`` pixels, one row per source
+    size: each output pixel's lower and upper source index and upper weight."""
+    size = np.asarray(size)[..., None]
+    pos = (np.arange(out) + 0.5) * (size / out) - 0.5
+    i0 = np.clip(np.floor(pos).astype(int), 0, size - 1)
+    return i0, np.minimum(i0 + 1, size - 1), np.clip(pos - i0, 0.0, 1.0)
+
+
+def bilinear_resample(images: np.ndarray, y_taps, x_taps) -> np.ndarray:
+    """A float (n, h, w, c) batch at shared or per-image ``bilinear_taps``:
+    columns blend in every source row, then rows, channels next to x."""
+    n, h, w, c = images.shape
+    (y0, y1, wy), (x0, x1, wx) = y_taps, x_taps
+    starts = np.arange(n * h).reshape(n, h, 1) * (w * c)
+    left, right = (np.take(images, starts + (x[..., None] * c + np.arange(c)).reshape(
+        *x.shape[:-1], 1, -1)) for x in (x0, x1))
+    rows = blend(left, right, np.repeat(wx, c, axis=-1)[..., None, :])
+    first = np.arange(n)[:, None]
+    out = blend(rows[first, y0], rows[first, y1], wy[..., None])
+    return out.reshape(n, y0.shape[-1], x0.shape[-1], c)
+
+
+def blend(a: np.ndarray, b: np.ndarray, weight) -> np.ndarray:
+    """a * (1 - weight) + b * weight, computed in a's and b's memory."""
+    a *= 1 - weight
+    b *= weight
+    a += b
+    return a
+
+
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize a (..., h, w, c) float image or batch of images with
     half-pixel-centered bilinear sampling."""
-    h, w = image.shape[-3:-1]
+    *lead, h, w, c = image.shape
     if (h, w) == (out_h, out_w):
         return image.copy()
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    rows0, rows1 = image[..., y0, :, :], image[..., y1, :, :]
-    top = rows0[..., x0, :] * (1 - wx) + rows0[..., x1, :] * wx
-    bot = rows1[..., x0, :] * (1 - wx) + rows1[..., x1, :] * wx
-    return top * (1 - wy) + bot * wy
+    out = bilinear_resample(image.reshape(-1, h, w, c), bilinear_taps(h, out_h),
+                            bilinear_taps(w, out_w))
+    return out.reshape(*lead, out_h, out_w, c)
 
 
 # -- synthetic generation ------------------------------------------------------

@@ -26,15 +26,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .data import TaskDataset
-from .mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET_PLUS, MODES,
-                        apply_mutations, clone_action, fresh_mu_table,
-                        sample_mutations)
+from .mutations import MODE_MUNET_PLUS, MODES, apply_mutations, fresh_mu_table, sample_mutations
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, mean_costs, score_model
 from .search_space import RESOLUTION_AXIS, SearchSpace
 from .system import (EMBEDDING, HEAD, HIDDEN, MIN_HIDDEN_DEPTH, ROOT_TASK, ModelSpec,
                      SystemError_, SystemState, init_params, zero_params)
-from .trainer import TrainBudget, TrainerError, evaluate, train_cycle
+from . import trainer
+from .trainer import TrainBudget, TrainerError, batch_accuracy, evaluate, train_cycle
 
 log = logging.getLogger("evograft")
 
@@ -167,11 +166,14 @@ def _train_child(system: SystemState, child: ModelSpec, parent: ModelSpec,
     """Run the training cycles; return (quality, payload) of the best retained
     checkpoint or None if every cycle fell below the bar."""
     val_images, val_labels = dataset.split("val")
+    # A child's resolution is fixed while it trains, so validation inputs are
+    # preprocessed once, through the module so wrappers installed there see it.
+    val_batch = trainer.preprocess_batch(val_images, child.hparams, None, train_mode=False)
     parent_on_task = parent.task == task
     best = None
     for cycle in range(cfg.train_cycles):
         train_cycle(system, child, dataset, cfg.budget, cycle, cfg.train_cycles, rng)
-        quality = evaluate(system, child, val_images, val_labels)
+        quality = batch_accuracy(system, child, val_batch, val_labels)
         candidate = score_model(system, child, quality)
         bar = -math.inf
         if best is not None:
@@ -425,14 +427,3 @@ def load_segments(path: str) -> list[SegmentSpec]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_segments(fh.read())
 
-
-def finetune_top_actions(parent: ModelSpec, top_k: int) -> set:
-    """Action set for the fine-tune-top-layers baseline: a new head plus forced
-    clones of the top ``top_k`` non-head layers, no other mutations."""
-    non_head = len(parent.layers) - 1
-    if not 0 <= top_k <= non_head:
-        raise EvolutionError(f"top_k must be in [0, {non_head}]")
-    actions = {MAKE_TRAINABLE_HEAD}
-    for pos in range(non_head - top_k, non_head):
-        actions.add(clone_action(pos))
-    return actions

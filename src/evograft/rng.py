@@ -14,8 +14,6 @@ the 64-bit golden-ratio increment. Uniform doubles take the top 53 bits of
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -87,9 +85,6 @@ class Rng:
     def uniforms(self, n: int) -> np.ndarray:
         return (self.raws(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def randint(self, n: int) -> int:
         """Integer in [0, n)."""
         if n <= 0:
@@ -107,14 +102,8 @@ class Rng:
             j = self.randint(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Box-Muller cosine branch; always consumes two uniforms."""
-        u1 = ((self.raw() >> 11) + 1) * _INV_2_53
-        u2 = (self.raw() >> 11) * _INV_2_53
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """Vectorized equivalent of ``n`` normal() calls (two uniforms each)."""
+        """``n`` Box-Muller cosine-branch normals, two uniforms each."""
         raw = self.raws(2 * n).reshape(n, 2)
         u1 = ((raw[:, 0] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
         u2 = (raw[:, 1] >> np.uint64(11)).astype(np.float64) * _INV_2_53

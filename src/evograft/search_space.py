@@ -111,9 +111,6 @@ class SearchSpace:
         options = self.axis(name).neighbors(value)
         return rng.choice(options)
 
-    def to_text(self) -> str:
-        return "".join(format_axis_line(a) + "\n" for a in self.axes.values())
-
 
 MU_AXIS = HparamAxis("mu", MU_GRID, MU_GRID.index(MU_INIT))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TaskDataset, bilinear_resize
+from .data import TaskDataset, bilinear_resample, bilinear_resize, bilinear_taps, blend
 from .rng import Rng
 from .search_space import RESOLUTION_AXIS
 from .system import EMBEDDING, HEAD, ModelSpec, SystemState
@@ -57,9 +57,8 @@ def preprocess_batch(images: np.ndarray, hparams: dict, rng: Rng | None,
                      train_mode: bool) -> np.ndarray:
     """(n, h, w, c) uint8 images to a float32 (n, res, res, c) batch in [-1, 1].
 
-    Train mode augments each image in turn: random crop, resize to the
-    resolution hyperparameter, optional horizontal flip, color jitter bounded
-    by the per-axis deltas, quality quantization. Eval mode is one
+    Train mode randomly crops, resizes, flips (if on), color-jitters within the
+    per-axis deltas and quality-quantizes each image. Eval mode is one
     deterministic resize of the whole batch and never touches the rng.
     """
     if images.ndim != 4 or images.dtype != np.uint8:
@@ -70,60 +69,63 @@ def preprocess_batch(images: np.ndarray, hparams: dict, rng: Rng | None,
     if train_mode:
         if rng is None:
             raise TrainerError("training preprocessing needs an rng")
-        x = np.stack([_augment(img, hparams, res, rng) for img in x])
+        x = _augment(x, hparams, res, rng)
     else:
         x = bilinear_resize(x, res, res)
     return (x * 2.0 - 1.0).astype(np.float32)
 
 
 def _augment(x: np.ndarray, hparams: dict, res: int, rng: Rng) -> np.ndarray:
-    x = _random_crop(x, hparams["crop_area_min"], hparams["crop_aspect_min"], rng)
-    x = bilinear_resize(x, res, res)
-    if hparams["flip"] and rng.uniform() < 0.5:
-        x = x[:, ::-1, :]
-    x = _color_jitter(x, hparams, rng)
-    return _quality_quantize(x, hparams["quality_delta"], rng)
+    """Augment a float (n, h, w, c) batch exactly as one image at a time would
+    be: the same draws in the same order, and each pixel's sums in its order."""
+    n, h, w, c = x.shape
+    bright, contrast, sat, hue, quality = (hparams[f"{name}_delta"] for name in (
+        "brightness", "contrast", "saturation", "hue", "quality"))
+    k = 4 + hparams["flip"] + sum(d > 0 for d in (bright, contrast, sat, hue, quality))
+    # per image: crop area, aspect, y and x offset, flip, one per non-zero delta
+    draws = iter(rng.uniforms(n * k).reshape(n, k).T[:, :, None, None, None])
 
+    def uniform_in(lo, hi):
+        return lo + (hi - lo) * next(draws)
 
-def _random_crop(x: np.ndarray, area_min: float, aspect_min: float, rng: Rng):
-    h, w = x.shape[:2]
-    area = rng.uniform_in(area_min, 1.0)
-    aspect = rng.uniform_in(aspect_min, 1.0 / aspect_min)
-    target = area * h * w
-    ch = min(h, max(1, int(round(math.sqrt(target / aspect)))))
-    cw = min(w, max(1, int(round(math.sqrt(target * aspect)))))
-    oy = rng.randint(h - ch + 1)
-    ox = rng.randint(w - cw + 1)
-    return x[oy:oy + ch, ox:ox + cw]
+    aspect_min, bounds = hparams["crop_aspect_min"], np.array([[h], [w]])
+    target = uniform_in(hparams["crop_area_min"], 1.0) * h * w
+    aspect = uniform_in(aspect_min, 1.0 / aspect_min)
+    size = np.clip(np.round(np.sqrt([target / aspect, target * aspect])).reshape(2, n)
+                   .astype(int), 1, bounds)
+    oy, ox = (np.stack([next(draws), next(draws)]).reshape(2, n) * (bounds - size + 1)
+              ).astype(int)[:, :, None]
+    (y0, x0), (y1, x1), (wy, wx) = bilinear_taps(size, res)
+    if hparams["flip"]:
+        flip = next(draws) < 0.5
+        x0, x1, wx = (np.where(flip.reshape(n, 1), t[:, ::-1], t) for t in (x0, x1, wx))
+    x = bilinear_resample(x, (oy + y0, oy + y1, wy), (ox + x0, ox + x1, wx))
 
-
-def _color_jitter(x: np.ndarray, hparams: dict, rng: Rng) -> np.ndarray:
-    d = hparams["brightness_delta"]
-    if d > 0:
-        x = x + rng.uniform_in(-d, d)
-    d = hparams["contrast_delta"]
-    if d > 0:
-        mean = x.mean()
-        x = mean + (x - mean) * (1.0 + rng.uniform_in(-d, d))
-    d = hparams["saturation_delta"]
-    if d > 0:
-        gray = x.mean(axis=2, keepdims=True)
-        x = gray + (x - gray) * (1.0 + rng.uniform_in(-d, d))
-    d = hparams["hue_delta"]
-    if d > 0:
-        shift = rng.uniform_in(-d, d)
-        if x.shape[2] >= 3:
-            rolled = np.roll(x, 1 if shift > 0 else -1, axis=2)
-            x = (1.0 - abs(shift)) * x + abs(shift) * rolled
-    return np.clip(x, 0.0, 1.0)
-
-
-def _quality_quantize(x: np.ndarray, delta: float, rng: Rng) -> np.ndarray:
-    # Quantization grain in [5, 255] levels depending on delta and the draw.
-    if delta <= 0:
-        return x
-    levels = max(2, int(round(1.0 / (delta * rng.uniform() + 1.0 / 255.0))))
-    return np.round(x * (levels - 1)) / (levels - 1)
+    if bright > 0:
+        x += uniform_in(-bright, bright)
+    if contrast > 0:
+        mean = x.mean(axis=(1, 2, 3), keepdims=True)
+        if hparams["flip"] and not bright > 0:
+            # one image at a time, this is a reversed view, which numpy sums its own way
+            mirrored = x[:, :, ::-1].copy()[:, :, ::-1].mean(axis=(1, 2, 3), keepdims=True)
+            mean = np.where(flip, mirrored, mean)
+        x = mean + (x - mean) * (1.0 + uniform_in(-contrast, contrast))
+    if sat > 0:
+        gray = x.mean(axis=3, keepdims=True)
+        x = gray + (x - gray) * (1.0 + uniform_in(-sat, sat))
+    if hue > 0:
+        shift = uniform_in(-hue, hue)
+        if c >= 3:
+            rolled = np.where(shift > 0, np.roll(x, 1, axis=3), np.roll(x, -1, axis=3))
+            x = blend(x, rolled, abs(shift))
+    if max(bright, contrast, sat, hue) > 0:
+        np.clip(x, 0.0, 1.0, out=x)
+    if quality > 0:
+        # Quantization grain in [5, 255] levels depending on delta and the draw.
+        levels = np.round(1.0 / (quality * next(draws) + 1.0 / 255.0)).astype(int)
+        steps = np.maximum(2, levels) - 1
+        x = np.round(x * steps) / steps
+    return x
 
 
 # -- forward / backward --------------------------------------------------------
@@ -190,8 +192,8 @@ def loss_and_gradients(system: SystemState, model: ModelSpec, batch: np.ndarray,
                        labels: np.ndarray, dtype=np.float32):
     """Mean cross-entropy and its exact gradients for the trainable blocks.
 
-    Frozen blocks are traversed by backpropagation but receive no gradient
-    entry. Gradient arrays are flat and congruent with each block's params.
+    Backpropagation stops at the lowest trainable block; frozen blocks above it
+    get no gradient entry. Gradient arrays are flat, congruent with params.
     """
     logits, (blocks, patches, inputs, tanhs, z_top) = _forward_cached(
         system, model, batch, dtype)
@@ -200,6 +202,8 @@ def loss_and_gradients(system: SystemState, model: ModelSpec, batch: np.ndarray,
     loss_value = float(-logp[np.arange(b), labels].mean())
 
     trainable = set(model.trainable_ids())
+    # Nothing reads dz below the lowest trainable block, so it stops there.
+    lowest = min((i for i, b in enumerate(blocks) if b.id in trainable), default=len(blocks))
     grads: dict[int, np.ndarray] = {}
 
     d_logits = np.exp(logp)
@@ -210,17 +214,19 @@ def loss_and_gradients(system: SystemState, model: ModelSpec, batch: np.ndarray,
     if head.id in trainable:
         grads[head.id] = np.concatenate(
             [(z_top.T @ d_logits).ravel(), d_logits.sum(axis=0)])
-    dz = d_logits @ head.weight(dtype).T
+    dz = d_logits @ head.weight(dtype).T if lowest < len(blocks) - 1 else None
 
-    for block, z_in, t in zip(reversed(blocks[1:-1]), reversed(inputs), reversed(tanhs)):
+    for i in range(len(blocks) - 2, max(lowest, 1) - 1, -1):
+        block, z_in, t = blocks[i], inputs[i - 1], tanhs[i - 1]
         da = dz * (1.0 - t * t)
         if block.id in trainable:
             grads[block.id] = np.concatenate(
                 [(z_in.T @ da).ravel(), da.sum(axis=0)])
-        dz = dz + da @ block.weight(dtype).T
+        if i > lowest:
+            dz = dz + da @ block.weight(dtype).T
 
     emb = blocks[0]
-    if emb.id in trainable:
+    if lowest == 0:
         n_patches = patches.shape[1]
         d_patch = np.repeat(dz[:, None, :] / n_patches, n_patches, axis=1)
         flat_p = patches.reshape(-1, emb.d_in)
@@ -296,12 +302,17 @@ def train_cycle(system: SystemState, model: ModelSpec, dataset: TaskDataset,
 def evaluate(system: SystemState, model: ModelSpec, images: np.ndarray,
              labels: np.ndarray) -> float:
     """Top-1 accuracy under deterministic eval preprocessing."""
-    if len(images) == 0:
+    batch = preprocess_batch(images, model.hparams, None, train_mode=False)
+    return batch_accuracy(system, model, batch, labels)
+
+
+def batch_accuracy(system: SystemState, model: ModelSpec, batch: np.ndarray,
+                   labels: np.ndarray) -> float:
+    """Top-1 accuracy of an eval-mode batch, forwarded EVAL_CHUNK images at a time."""
+    if len(batch) == 0:
         raise TrainerError("cannot evaluate on an empty split")
     correct = 0
-    for start in range(0, len(images), EVAL_CHUNK):
-        chunk = preprocess_batch(images[start:start + EVAL_CHUNK], model.hparams,
-                                 None, train_mode=False)
-        logits = forward(system, model, chunk)
+    for start in range(0, len(batch), EVAL_CHUNK):
+        logits = forward(system, model, batch[start:start + EVAL_CHUNK])
         correct += int((logits.argmax(axis=1) == labels[start:start + EVAL_CHUNK]).sum())
-    return correct / len(images)
+    return correct / len(batch)

@@ -15,10 +15,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from evograft.data import TaskDataset
-from evograft.evolution import bootstrap_system
+from evograft.evolution import EvolutionError, bootstrap_system
+from evograft.mutations import MAKE_TRAINABLE_HEAD, clone_action
 from evograft.rng import Rng
 from evograft.scoring import ScoreParams
-from evograft.search_space import SearchSpace, load_builtin_space, parse_space
+from evograft.search_space import (SearchSpace, format_axis_line, load_builtin_space,
+                                   parse_space)
 from evograft.system import EMBEDDING, HEAD, HIDDEN, ModelSpec, SystemState
 
 
@@ -117,3 +119,20 @@ def simple_trunk(system: SystemState, width: int = 4, depth: int = 2,
     for _ in range(depth):
         ids.append(add_dense_block(system, HIDDEN, width, width).id)
     return ids
+
+
+def finetune_top_actions(parent: ModelSpec, top_k: int) -> set:
+    """Action set for the fine-tune-top-layers baseline: a new head plus forced
+    clones of the top ``top_k`` non-head layers, no other mutations."""
+    non_head = len(parent.layers) - 1
+    if not 0 <= top_k <= non_head:
+        raise EvolutionError(f"top_k must be in [0, {non_head}]")
+    actions = {MAKE_TRAINABLE_HEAD}
+    for pos in range(non_head - top_k, non_head):
+        actions.add(clone_action(pos))
+    return actions
+
+
+def space_text(space: SearchSpace) -> str:
+    """The space as an axis-table file."""
+    return "".join(format_axis_line(a) + "\n" for a in space.axes.values())

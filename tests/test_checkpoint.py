@@ -6,12 +6,12 @@ import pytest
 from evograft import checkpoint
 from evograft.checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint,
                                  save_checkpoint, system_digest)
-from evograft.evolution import bootstrap_system, finetune_top_actions, run_task_iteration
+from evograft.evolution import bootstrap_system, run_task_iteration
 from evograft.mutations import apply_mutations
 from evograft.rng import Rng
 from evograft.search_space import load_builtin_space
 
-from conftest import make_dataset
+from conftest import finetune_top_actions, make_dataset
 from test_data import tree_sha
 from test_evolution import quick_config
 

@@ -8,6 +8,8 @@ from evograft.checkpoint import checkpoint_digest, load_checkpoint
 from evograft.cli import main
 from evograft.search_space import load_builtin_space
 
+from conftest import space_text
+
 GEN_SPEC = """\
 task alpha classes=3 h=16 w=16 c=3 train=48 val=24 test=24 noise=0.05
 task beta classes=3 h=16 w=16 c=3 train=48 val=24 test=24 noise=0.05
@@ -63,7 +65,7 @@ def write(path, text):
 def setup_workspace(tmp_path, seed=7, tasks=None):
     os.makedirs(tmp_path, exist_ok=True)
     spec = write(tmp_path / "gen.spec", GEN_SPEC)
-    space = write(tmp_path / "desk.axes", load_builtin_space("desk").to_text())
+    space = write(tmp_path / "desk.axes", space_text(load_builtin_space("desk")))
     if tasks is None:
         tasks = str(tmp_path / "tasks")
         assert main(["gen-tasks", "--spec", spec, "--seed", "5", "--out", tasks]) == 0
@@ -167,7 +169,7 @@ def test_cli_resume_after_kill_at_every_save(tmp_path, monkeypatch, capsys):
 
 def test_init_rejects_duplicate_task_names_and_empty_roots(tmp_path, capsys):
     spec = write(tmp_path / "gen.spec", GEN_SPEC)
-    space = write(tmp_path / "desk.axes", load_builtin_space("desk").to_text())
+    space = write(tmp_path / "desk.axes", space_text(load_builtin_space("desk")))
     tasks = str(tmp_path / "tasks")
     assert main(["gen-tasks", "--spec", spec, "--seed", "5", "--out", tasks]) == 0
     shutil.copytree(os.path.join(tasks, "alpha"), os.path.join(tasks, "alpha_again"))

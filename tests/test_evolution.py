@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from evograft import trainer
 from evograft.evolution import (EvolutionConfig, EvolutionError, SegmentSpec,
-                                _train_child, bootstrap_system, finetune_top_actions,
+                                _restore_payload, _train_child, bootstrap_system,
                                 metrics_snapshot, parent_acceptance_probability,
                                 parse_segments, run_generation, run_plan,
                                 run_segment, run_task_iteration, sample_parent)
 from evograft.mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET, MODE_MUNET_PLUS,
                                 apply_mutations, clone_action)
 from evograft.rng import Rng
-from evograft.trainer import TrainBudget
+from evograft.trainer import TrainBudget, evaluate
 
-from conftest import make_dataset
+from conftest import finetune_top_actions, make_dataset
 
 
 def quick_config(**kw):
@@ -155,6 +156,31 @@ def test_cross_task_parent_imposes_no_bar():
     system.commit_model(child)
     best = _train_child(system, child, root, "t", ds, cfg, rng)
     assert best is not None  # threshold is -inf for parents from other tasks
+
+
+def test_child_validation_split_is_preprocessed_once(monkeypatch):
+    system = fresh_system()
+    ds = make_dataset("t", seed=45)
+    rng = Rng(9, "val")
+    root = next(iter(system.models.values()))
+    child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    system.commit_model(child)
+    eval_calls = []
+    original = trainer.preprocess_batch
+
+    def counting(images, hparams, rng, train_mode):
+        if not train_mode:
+            eval_calls.append(len(images))
+        return original(images, hparams, rng, train_mode)
+
+    monkeypatch.setattr(trainer, "preprocess_batch", counting)
+    quality, payload = _train_child(system, child, root, "t", ds,
+                                    quick_config(train_cycles=3), rng)
+    monkeypatch.undo()
+    val_images, val_labels = ds.split("val")
+    assert eval_calls == [len(val_images)]
+    _restore_payload(system, payload)
+    assert quality == evaluate(system, child, val_images, val_labels)
 
 
 def test_generation_retains_children_into_active_population():

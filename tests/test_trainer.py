@@ -214,6 +214,23 @@ def test_frozen_blocks_receive_no_gradient():
     assert set(grads) == {model.head_id()}
 
 
+def test_gradients_do_not_depend_on_whether_lower_blocks_train():
+    system = empty_system()
+    trunk = simple_trunk(system, width=3, depth=3, patch=4)
+    model = add_model(system, "t", trunk, 3, 3)
+    images, labels = separable_images(6, seed=24)
+    batch = preprocess_batch(images, model.hparams, None, train_mode=False)
+    ids = model.layer_ids()
+    grads = {}
+    for lowest in range(len(ids)):
+        model.layers = [(bid, pos >= lowest) for pos, bid in enumerate(ids)]
+        _, grads[lowest] = loss_and_gradients(system, model, batch, labels % 3)
+        assert set(grads[lowest]) == set(ids[lowest:])
+    for lowest, upper in grads.items():
+        for bid, grad in upper.items():
+            assert grad.tobytes() == grads[0][bid].tobytes(), (lowest, bid)
+
+
 def test_forward_rejects_wrong_resolution_batch():
     system, model = planted_system()
     bad = np.zeros((2, 4, 4, 3), dtype=np.float32)  # model expects 16x16
@@ -345,3 +362,105 @@ def test_empty_dataset_raises():
         train_cycle(system, model, empty, TrainBudget(), 0, 1, Rng(21, "e"))
     with pytest.raises(TrainerError):
         evaluate(system, model, np.zeros((0, 8, 8, 3), np.uint8), np.zeros(0, np.int64))
+
+
+# -- per-image reference for train preprocessing -------------------------------
+# The chain preprocess_batch ran one image at a time before train augmentation
+# became one batched pass, kept as the oracle for its bytes and rng draws.
+
+def reference_resize(image, out_h, out_w):
+    h, w = image.shape[-3:-1]
+    if (h, w) == (out_h, out_w):
+        return image.copy()
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.clip(y0 + 1, 0, h - 1)
+    x1 = np.clip(x0 + 1, 0, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    rows0, rows1 = image[..., y0, :, :], image[..., y1, :, :]
+    top = rows0[..., x0, :] * (1 - wx) + rows0[..., x1, :] * wx
+    bot = rows1[..., x0, :] * (1 - wx) + rows1[..., x1, :] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def uniform_in(rng, lo, hi):
+    return lo + (hi - lo) * rng.uniform()
+
+
+def reference_augment(x, hparams, res, rng):
+    h, w = x.shape[:2]
+    area = uniform_in(rng, hparams["crop_area_min"], 1.0)
+    aspect = uniform_in(rng, hparams["crop_aspect_min"], 1.0 / hparams["crop_aspect_min"])
+    target = area * h * w
+    ch = min(h, max(1, int(round(math.sqrt(target / aspect)))))
+    cw = min(w, max(1, int(round(math.sqrt(target * aspect)))))
+    oy = rng.randint(h - ch + 1)
+    ox = rng.randint(w - cw + 1)
+    x = reference_resize(x[oy:oy + ch, ox:ox + cw], res, res)
+    if hparams["flip"] and rng.uniform() < 0.5:
+        x = x[:, ::-1, :]
+    d = hparams["brightness_delta"]
+    if d > 0:
+        x = x + uniform_in(rng, -d, d)
+    d = hparams["contrast_delta"]
+    if d > 0:
+        mean = x.mean()
+        x = mean + (x - mean) * (1.0 + uniform_in(rng, -d, d))
+    d = hparams["saturation_delta"]
+    if d > 0:
+        gray = x.mean(axis=2, keepdims=True)
+        x = gray + (x - gray) * (1.0 + uniform_in(rng, -d, d))
+    d = hparams["hue_delta"]
+    if d > 0:
+        shift = uniform_in(rng, -d, d)
+        if x.shape[2] >= 3:
+            rolled = np.roll(x, 1 if shift > 0 else -1, axis=2)
+            x = (1.0 - abs(shift)) * x + abs(shift) * rolled
+    x = np.clip(x, 0.0, 1.0)
+    delta = hparams["quality_delta"]
+    if delta <= 0:
+        return x
+    levels = max(2, int(round(1.0 / (delta * rng.uniform() + 1.0 / 255.0))))
+    return np.round(x * (levels - 1)) / (levels - 1)
+
+
+def reference_train_batch(images, hparams, rng):
+    x = images.astype(np.float64) / 255.0
+    x = np.stack([reference_augment(img, hparams, hparams["resolution"], rng)
+                  for img in x])
+    return (x * 2.0 - 1.0).astype(np.float32)
+
+
+JITTER_AXES = ("brightness_delta", "contrast_delta", "saturation_delta", "hue_delta",
+               "quality_delta")
+
+
+def test_train_preprocessing_matches_per_image_reference(desk_space):
+    gen = np.random.default_rng(2024)
+    shapes = [(16, 16, 3)] * 6 + [(8, 8, 3), (12, 20, 3), (16, 16, 1), (16, 16, 4)]
+    seen = set()
+    for trial in range(200):
+        hp = desk_space.default_config()
+        for name in ("crop_area_min", "crop_aspect_min", "flip", "resolution"):
+            values = desk_space.axis(name).values
+            hp[name] = values[gen.integers(len(values))]
+        for name in JITTER_AXES:
+            values = desk_space.axis(name).values
+            hp[name] = values[gen.integers(len(values))] if gen.random() < 0.5 else 0.0
+        n = 1 + trial % 19
+        images = gen.integers(0, 256, size=(n,) + shapes[trial % len(shapes)],
+                              dtype=np.uint8)
+        batch_rng, ref_rng = Rng(trial, "aug"), Rng(trial, "aug")
+        batch = preprocess_batch(images, hp, batch_rng, train_mode=True)
+        assert batch.tobytes() == reference_train_batch(images, hp, ref_rng).tobytes(), hp
+        assert batch_rng.state() == ref_rng.state()
+        seen.update(name for name in JITTER_AXES if hp[name] > 0)
+        seen.update({("flip", hp["flip"]), ("res", hp["resolution"]),
+                     ("area", hp["crop_area_min"]), ("aspect", hp["crop_aspect_min"]),
+                     ("no jitter", not any(hp[name] > 0 for name in JITTER_AXES))})
+    assert seen >= set(JITTER_AXES) | {("flip", True), ("res", 16), ("res", 32),
+                                       ("area", 0.05), ("aspect", 0.5),
+                                       ("no jitter", True)}
