@@ -19,8 +19,9 @@ from .evolution import MetricsSnapshot
 from .mutations import MutationAction
 from .rng import Rng
 from .scoring import ScoreParams
-from .search_space import SearchSpace, format_axis_line, format_value, parse_axis_line, parse_value
-from .system import LayerBlock, ModelSpec, SystemState
+from .search_space import (SearchSpace, SpaceError, format_axis_line, format_value,
+                           parse_axis_line, parse_value)
+from .system import LayerBlock, ModelSpec, SystemError_, SystemState
 
 FORMAT_VERSION = 1
 
@@ -285,10 +286,10 @@ def load_checkpoint(path: str) -> SystemState:
                          hparams=entry["hparams"], mu=entry["mu"],
                          parent_id=entry["parent"],
                          quality=entry["quality"], score_snapshot=entry["score"])
-        for lid, _ in spec.layers:
-            if lid not in system.blocks:
-                raise CheckpointError(f"model {mid} references missing block {lid}")
-        system.models[mid] = spec
+        try:
+            system.commit_model(spec)
+        except (SystemError_, SpaceError) as exc:
+            raise CheckpointError(f"model {mid} does not validate: {exc}") from None
     return system
 
 

@@ -4,6 +4,8 @@ The system holds every parameter block once; models are ordered lists of
 (block id, trainable flag) references. A block's cost to one model is its
 parameter count divided by one plus the number of models for *other* tasks
 referencing it, so shared frozen blocks get cheaper as more tasks reuse them.
+Those counts come from ``refs``, an index of references per block and task
+that only commit and discard change; it is derived state, never persisted.
 Inference flops are an analytic count over the model's own dense maps and do
 not depend on sharing.
 
@@ -105,6 +107,7 @@ class SystemState:
         self.rng = rng
         self.blocks: dict[int, LayerBlock] = {}
         self.models: dict[int, ModelSpec] = {}
+        self.refs: dict[int, dict[str, int]] = {}  # block -> task -> models
         self.selection_counts: dict[tuple[int, str], int] = {}
         self.task_paths: dict[str, str] = {}
         self.ever_trainable: set[int] = set()
@@ -159,9 +162,8 @@ class SystemState:
         if any(k != HIDDEN for k in kinds[1:-1]):
             raise SystemError_(f"model {model.id} has a non-hidden interior block")
         head = model.head_id()
-        for other in self.models.values():
-            if other.id != model.id and head in other.layer_ids() and other.task != model.task:
-                raise SystemError_(f"head block {head} shared across tasks")
+        if any(task != model.task for task in self.refs.get(head, ())):
+            raise SystemError_(f"model {model.id} head block {head} is shared across tasks")
         self.space.validate_config(model.hparams)
 
     def commit_model(self, model: ModelSpec) -> None:
@@ -169,6 +171,9 @@ class SystemState:
             raise SystemError_(f"model {model.id} committed twice")
         self.validate_model(model)
         self.models[model.id] = model
+        for lid in set(model.layer_ids()):
+            counts = self.refs.setdefault(lid, {})
+            counts[model.task] = counts.get(model.task, 0) + 1
         for lid, trainable in model.layers:
             if trainable:
                 self.ever_trainable.add(lid)
@@ -177,23 +182,27 @@ class SystemState:
         if model.id not in self.models:
             raise SystemError_(f"model {model.id} is not committed")
         del self.models[model.id]
+        for lid in set(model.layer_ids()):
+            counts = self.refs[lid]
+            counts[model.task] -= 1
+            if not counts[model.task]:
+                del counts[model.task]
+                if not counts:
+                    del self.refs[lid]
         self.selection_counts = {k: v for k, v in self.selection_counts.items()
                                  if k[0] != model.id}
         self.collect_garbage()
 
     def collect_garbage(self) -> None:
-        live = set()
-        for model in self.models.values():
-            live.update(model.layer_ids())
-        self.blocks = {bid: b for bid, b in self.blocks.items() if bid in live}
+        self.blocks = {bid: b for bid, b in self.blocks.items() if bid in self.refs}
 
     # -- cost accounting -----------------------------------------------------
 
     def sharing_count(self, block_id: int, task: str) -> int:
         """Number of models for tasks other than ``task`` referencing the block."""
         self.block(block_id)
-        return sum(1 for m in self.models.values()
-                   if m.task != task and block_id in m.layer_ids())
+        counts = self.refs.get(block_id, {})
+        return sum(counts.values()) - counts.get(task, 0)
 
     def accounted_params(self, model: ModelSpec) -> float:
         """Parameter cost of the model with shared blocks discounted.

@@ -139,6 +139,28 @@ def test_size_factor_that_is_switched_off_is_rejected(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
+def test_load_rejects_a_model_that_does_not_validate(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    root, child = sorted(system.models.values(), key=lambda m: m.id)[:2]
+    assert root.task != child.task
+
+    def layers_line(model, layers):
+        return f"layers {model.id} " + ",".join(f"{lid}:{int(tr)}" for lid, tr in layers)
+
+    stolen_head = child.layers[:-1] + [(root.head_id(), True)]
+    unlisted_block = [(9999, False)] + child.layers[1:]
+    for model, layers in ((root, root.layers[::-1]), (child, stolen_head),
+                          (child, unlisted_block)):
+        old = layers_line(model, model.layers)
+        assert text.count(old + "\n") == 1
+        manifest.write_text(text.replace(old + "\n", layers_line(model, layers) + "\n"))
+        with pytest.raises(CheckpointError, match=f"model {model.id} "):
+            load_checkpoint(str(tmp_path))
+
+
 def test_interrupted_and_resumed_run_matches_straight_run(tmp_path):
     from evograft.evolution import metrics_snapshot
     straight = evolved_system(iterations=2)

@@ -58,6 +58,22 @@ def test_bootstrap_digest_is_pinned(space, width, depth, channels, expected):
     assert system_digest(system) == expected
 
 
+def test_three_task_trajectory_digest_is_pinned():
+    # With s=0.99 every retention decision reads accounted parameters, so
+    # this pins the sharing counts along the whole run. The run trains, so
+    # the literal also pins that the digest does not depend on the BLAS
+    # thread count: CI reruns this test with OPENBLAS_NUM_THREADS=2.
+    from evograft.checkpoint import system_digest
+    system = fresh_system(seed=9)
+    datasets = {name: make_dataset(name, classes=2 + i, seed=40 + i)
+                for i, name in enumerate(("a", "b", "c"))}
+    plan = [SegmentSpec("grow", ["a", "b", "c"], iterations=2, s=0.99,
+                        recalibrate=10.0, children=2)]
+    run_plan(system, plan, datasets, quick_config())
+    assert system_digest(system) == ("622650cfa0e7fb78c7888be3fe39db25"
+                                     "3c1cbcbcd17cf42b18581661df07b99d")
+
+
 def test_acceptance_probability_is_exact_powers_of_half():
     for k in range(11):
         assert parent_acceptance_probability(k) == 0.5 ** k

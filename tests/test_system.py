@@ -1,7 +1,8 @@
 import pytest
 
+from evograft.checkpoint import load_checkpoint, save_checkpoint
 from evograft.rng import Rng
-from evograft.system import (EMBEDDING, HIDDEN, ModelSpec, SystemError_,
+from evograft.system import (EMBEDDING, HEAD, HIDDEN, ModelSpec, SystemError_,
                              dense_flops, embedding_flops, export_dot)
 
 from conftest import add_dense_block, add_model, empty_system, simple_trunk
@@ -228,3 +229,83 @@ def test_validate_model_rejects_bad_layer_order():
                     hparams=system.space.default_config(), mu={})
     with pytest.raises(SystemError_):
         system.commit_model(bad)
+
+
+def check_against_brute_force(system, tasks):
+    scan = [(m.task, set(m.layer_ids())) for m in system.models.values()]
+    live = set().union(*(ids for _, ids in scan))
+    assert set(system.blocks) == live
+    for bid in live:
+        for task in tasks:
+            brute = sum(1 for other, ids in scan if other != task and bid in ids)
+            assert system.sharing_count(bid, task) == brute
+    for bid in set(range(system.next_block_id)) - live:
+        with pytest.raises(SystemError_):
+            system.sharing_count(bid, tasks[0])
+    for model in system.models.values():
+        assert system.accounted_params(model) == accounted_oracle(system, model)
+
+
+def random_commit(system, rng, tasks, models):
+    """Commit a model of a random task over live blocks: a live or fresh
+    embedding, an ordered subset of the live hiddens, sometimes a fresh
+    hidden, and a fresh head or the head of a same-task model."""
+    task = rng.choice(tasks)
+    embeddings = sorted(b.id for b in system.blocks.values() if b.kind == EMBEDDING)
+    hiddens = sorted(b.id for b in system.blocks.values() if b.kind == HIDDEN)
+    if rng.uniform() < 0.2:
+        trunk = [add_dense_block(system, EMBEDDING, 3, 1, task=task).id]
+    else:
+        trunk = [rng.choice(embeddings)]
+    trunk += [bid for bid in hiddens if rng.uniform() < 0.5] or [rng.choice(hiddens)]
+    if rng.uniform() < 0.3:
+        trunk.append(add_dense_block(system, HIDDEN, 1, 1, task=task).id)
+    peers = [m for m in models if m.task == task]
+    if peers and rng.uniform() < 0.3:
+        head = rng.choice(peers).head_id()
+    else:
+        head = add_dense_block(system, HEAD, 1, 1 + rng.randint(3), task=task).id
+    model = ModelSpec(id=system.new_model_id(), task=task,
+                      layers=[(bid, False) for bid in trunk] + [(head, True)],
+                      hparams=system.space.default_config(), mu={})
+    system.commit_model(model)
+    models.append(model)
+
+
+def test_sharing_index_matches_brute_force_under_commits_and_discards(tmp_path):
+    for seed in range(50):
+        rng = Rng(seed, "sharing-index")
+        system = empty_system(seed=seed)
+        tasks = [f"task{t}" for t in range(3 + rng.randint(3))]
+        checked = tasks + ["root", "unregistered"]
+        trunk = [add_dense_block(system, EMBEDDING, 3, 1).id]
+        trunk += [add_dense_block(system, HIDDEN, 1, 1).id for _ in range(3)]
+        root = add_model(system, "root", trunk, 1, 2)
+        models = []
+        for _ in range(12):
+            if models and rng.uniform() < 0.3:
+                system.discard_model(models.pop(rng.randint(len(models))))
+            else:
+                random_commit(system, rng, tasks, models)
+            check_against_brute_force(system, checked)
+
+        foreign = [m for m in models if m.task != models[-1].task]
+        if foreign:
+            thief = ModelSpec(id=system.new_model_id(), task=models[-1].task,
+                              layers=[(trunk[0], False), (trunk[1], False),
+                                      (foreign[0].head_id(), True)],
+                              hparams=system.space.default_config(), mu={})
+            with pytest.raises(SystemError_, match="shared across tasks"):
+                system.commit_model(thief)
+
+        path = tmp_path / f"seed{seed}"
+        save_checkpoint(system, str(path))
+        loaded = load_checkpoint(str(path))
+        check_against_brute_force(loaded, checked)
+        assert loaded.refs == system.refs
+
+        rng.shuffle(models)
+        for victim in models:
+            system.discard_model(victim)
+            check_against_brute_force(system, checked)
+        assert set(system.blocks) == set(root.layer_ids())
