@@ -51,12 +51,10 @@ def write_manifest(system: SystemState) -> str:
         lines.append(f"axis {format_axis_line(axis)}")
     for name in sorted(system.task_paths):
         lines.append(f"task {name} {system.task_paths[name]}")
-    for bid in sorted(system.blocks):
-        b = system.blocks[bid]
+    for b in system.blocks.values():
         lines.append(f"block {b.id} {b.kind} {b.d_in} {b.d_out} "
                      f"{b.created_by_task} {b.generation_tag}")
-    for mid in sorted(system.models):
-        m = system.models[mid]
+    for m in system.models.values():
         parent = "-" if m.parent_id is None else str(m.parent_id)
         lines.append(f"model {m.id} {m.task} {parent} {m.id} "
                      f"{_opt(m.quality)} {_opt(m.score_snapshot)}")
@@ -101,14 +99,14 @@ def _read_block_file(path: str, block_id: int) -> tuple[np.ndarray, np.ndarray]:
         raise CheckpointError(f"missing payload file for block {block_id}") from None
     try:
         n = int(np.frombuffer(blob[:8], dtype="<u8")[0])
-        params = np.frombuffer(blob[8:8 + 4 * n], dtype="<f4").astype(np.float32)
-        off = 8 + 4 * n
-        m = int(np.frombuffer(blob[off:off + 8], dtype="<u8")[0])
-        opt = np.frombuffer(blob[off + 8:off + 8 + 4 * m], dtype="<f4").astype(np.float32)
+        m = int(np.frombuffer(blob[8 + 4 * n:16 + 4 * n], dtype="<u8")[0])
     except (ValueError, IndexError):
-        raise CheckpointError(f"corrupt payload file for block {block_id}") from None
-    if params.size != n or opt.size != m:
-        raise CheckpointError(f"truncated payload file for block {block_id}")
+        raise CheckpointError(f"truncated payload file for block {block_id}") from None
+    if len(blob) != 16 + 4 * (n + m):
+        raise CheckpointError(f"payload file for block {block_id} has {len(blob)} bytes, "
+                              f"its counts need {16 + 4 * (n + m)}")
+    params = np.frombuffer(blob, "<f4", n, 8).astype(np.float32)
+    opt = np.frombuffer(blob, "<f4", m, 16 + 4 * n).astype(np.float32)
     return params, opt
 
 
@@ -192,10 +190,14 @@ def load_checkpoint(path: str) -> SystemState:
                 task_paths[name] = task_path
             elif key == "block":
                 bid, kind, d_in, d_out, created_by, gen = rest.split()
+                if block_meta and int(bid) <= block_meta[-1][0]:
+                    raise CheckpointError(f"block {bid} is listed out of id order")
                 block_meta.append((int(bid), kind, int(d_in), int(d_out),
                                    created_by, int(gen)))
             elif key == "model":
                 mid, task, parent, created, quality, snap = rest.split()
+                if int(mid) in models:
+                    raise CheckpointError(f"model {mid} is listed twice")
                 if int(created) != int(mid):
                     raise CheckpointError(
                         f"model {mid} has creation index {created}, not its id")
@@ -272,13 +274,13 @@ def load_checkpoint(path: str) -> SystemState:
     blocks_dir = os.path.join(path, "blocks")
     for bid, kind, d_in, d_out, created_by, gen in block_meta:
         params, opt = _read_block_file(os.path.join(blocks_dir, f"{bid}.bin"), bid)
-        if params.size != d_in * d_out + d_out or opt.size != params.size:
-            raise CheckpointError(f"block {bid} payload size disagrees with manifest")
-        system.blocks[bid] = LayerBlock(bid, kind, d_in, d_out, params, opt,
-                                        created_by, gen)
+        try:
+            system.blocks[bid] = LayerBlock(bid, kind, d_in, d_out, params, opt,
+                                            created_by, gen)
+        except SystemError_ as exc:
+            raise CheckpointError(f"block {bid} disagrees with the manifest: {exc}") from None
 
-    for mid in sorted(models):
-        entry = models[mid]
+    for mid, entry in models.items():
         for field in ("layers", "hparams", "mu"):
             if field not in entry:
                 raise CheckpointError(f"model {mid} is missing its {field} line")
@@ -290,6 +292,10 @@ def load_checkpoint(path: str) -> SystemState:
             system.commit_model(spec)
         except (SystemError_, SpaceError) as exc:
             raise CheckpointError(f"model {mid} does not validate: {exc}") from None
+    for name, counter, registry in (("blocks", system.next_block_id, system.blocks),
+                                    ("models", system.next_model_id, system.models)):
+        if registry and counter <= max(registry):
+            raise CheckpointError(f"{name}={counter} is not above listed id {max(registry)}")
     return system
 
 
@@ -318,6 +324,6 @@ def system_digest(system: SystemState) -> str:
     """Digest of the full system without touching disk."""
     digest = hashlib.sha256()
     digest.update(write_manifest(system).encode("utf-8"))
-    for bid in sorted(system.blocks):
-        digest.update(block_digest(system.blocks[bid]).encode())
+    for block in system.blocks.values():
+        digest.update(block_digest(block).encode())
     return digest.hexdigest()

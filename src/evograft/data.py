@@ -66,10 +66,15 @@ def read_split(path: str) -> tuple[np.ndarray, np.ndarray]:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DatasetError(f"{path}: bad magic bytes")
-    n, h, w, c = np.frombuffer(blob[4:20], dtype="<u4")
-    records = np.frombuffer(blob[20:], dtype=_record_dtype(int(h), int(w), int(c)))
-    if records.size != n:
-        raise DatasetError(f"{path}: expected {n} samples, found {records.size}")
+    if len(blob) < 20:
+        raise DatasetError(f"{path}: header has {len(blob)} of its 20 bytes")
+    n, h, w, c = (int(v) for v in np.frombuffer(blob[4:20], dtype="<u4"))
+    record = _record_dtype(h, w, c)
+    found, stray = divmod(len(blob) - 20, record.itemsize)
+    if found != n or stray:
+        raise DatasetError(f"{path}: expected {n} samples, found {found}"
+                           + (f" and {stray} stray bytes" if stray else ""))
+    records = np.frombuffer(blob, dtype=record, offset=20)
     return records["img"].copy(), records["label"].astype(np.int64)
 
 

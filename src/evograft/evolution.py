@@ -135,8 +135,7 @@ def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
         raise EvolutionError("cannot sample a parent from an empty system")
     scored = _best_first(system, active)
     active_ids = {m.id for m in active}
-    others = sorted((m for m in system.models.values() if m.id not in active_ids),
-                    key=lambda m: m.id)
+    others = [m for m in system.models.values() if m.id not in active_ids]
     rng.shuffle(others)
 
     chosen = None
@@ -146,7 +145,7 @@ def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
             chosen = candidate
             break
     if chosen is None:
-        pool = sorted(system.models.values(), key=lambda m: m.id)
+        pool = list(system.models.values())
         chosen = pool[rng.randint(len(pool))]
     key = (chosen.id, task)
     system.selection_counts[key] = system.selection_counts.get(key, 0) + 1

@@ -3,10 +3,12 @@
 Three structural knobs exist: cloning any non-head layer into a private
 trainable copy (parameters and optimizer state travel with it), removing the
 topmost hidden block, and stepping one hyperparameter to a neighboring value.
-A child always receives its own trainable head. Each model carries a lookup
-table mapping every action it could take to a probability on a fixed grid;
-the table is inherited by children and drifts by the same neighbor-stepping
-rule the hyperparameters use.
+A child always receives its own trainable head. The legal actions are that
+new head plus what ``possible_mutations`` lists for the parent in the run's
+mode; ``apply_mutations`` rejects any other. Each model carries a lookup table
+mapping every action it could take to a probability on a fixed grid; the
+table is inherited by children and drifts by the same neighbor-stepping rule
+the hyperparameters use.
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     they are resolved. The child is registered in the block store but not
     committed as a model.
     """
-    _validate_actions(parent, actions, system)
+    illegal = actions - {MAKE_TRAINABLE_HEAD} - set(possible_mutations(system, parent, mode))
+    if illegal:
+        keys = ", ".join(sorted(a.key() for a in illegal))
+        raise MutationError(f"actions not legal for model {parent.id} in {mode} mode: {keys}")
 
     non_head = len(parent.layers) - 1
     keep = list(range(non_head))
@@ -170,21 +175,3 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     child.mu = inherit_mu(parent.mu, possible_mutations(system, child, mode), rng)
     return child
 
-
-def _validate_actions(parent: ModelSpec, actions: set[MutationAction],
-                      system: SystemState) -> None:
-    non_head = len(parent.layers) - 1
-    for action in actions:
-        if action.kind == HEAD_ACTION:
-            continue
-        elif action.kind == CLONE:
-            if not 0 <= action.arg < non_head:
-                raise MutationError(f"clone depth {action.arg} outside parent layers")
-        elif action.kind == REMOVE:
-            if parent.hidden_count() <= MIN_HIDDEN_DEPTH:
-                raise MutationError("cannot remove below the minimum hidden depth")
-        elif action.kind == HPARAM:
-            if action.arg not in system.space:
-                raise MutationError(f"unknown hyperparameter axis {action.arg!r}")
-        else:
-            raise MutationError(f"unknown action kind {action.kind!r}")

@@ -43,8 +43,7 @@ def least_squares_line(xs, ys) -> tuple[float, float]:
 
 
 def _task_models(system: SystemState):
-    return [m for m in sorted(system.models.values(), key=lambda m: m.id)
-            if m.task != ROOT_TASK]
+    return [m for m in system.models.values() if m.task != ROOT_TASK]
 
 
 def _mu_family(action) -> str:

@@ -7,7 +7,9 @@ referencing it, so shared frozen blocks get cheaper as more tasks reuse them.
 Those counts come from ``refs``, an index of references per block and task
 that only commit and discard change; it is derived state, never persisted.
 Inference flops are an analytic count over the model's own dense maps and do
-not depend on sharing.
+not depend on sharing. ``blocks`` and ``models`` iterate in ascending id
+order by construction: ``add_block`` numbers upward and ``commit_model``
+accepts only an id above the last committed one, so readers never re-sort.
 
 Reads are safe to run concurrently; commit, discard, and garbage collection
 assume a single writer. Training never writes a block referenced frozen, so
@@ -55,6 +57,13 @@ class LayerBlock:
     opt: np.ndarray
     created_by_task: str
     generation_tag: int
+
+    def __post_init__(self):
+        if self.params.dtype != np.float32 or self.opt.dtype != np.float32:
+            raise SystemError_(f"block {self.id} arrays must be float32")
+        if (self.params.size != self.d_in * self.d_out + self.d_out
+                or self.opt.size != self.params.size):
+            raise SystemError_(f"block {self.id} array sizes do not match its shape")
 
     @property
     def n_params(self) -> int:
@@ -121,10 +130,6 @@ class SystemState:
 
     def add_block(self, kind: str, d_in: int, d_out: int, params: np.ndarray,
                   opt: np.ndarray, created_by_task: str) -> LayerBlock:
-        if params.dtype != np.float32 or opt.dtype != np.float32:
-            raise SystemError_("block arrays must be float32")
-        if params.size != d_in * d_out + d_out or opt.size != params.size:
-            raise SystemError_("block array sizes do not match shape")
         block = LayerBlock(self.next_block_id, kind, d_in, d_out, params, opt,
                            created_by_task, self.iterations_done)
         self.blocks[block.id] = block
@@ -146,9 +151,7 @@ class SystemState:
         return [self.block(lid) for lid in model.layer_ids()]
 
     def models_for(self, task: str) -> list[ModelSpec]:
-        out = [m for m in self.models.values() if m.task == task]
-        out.sort(key=lambda m: m.id)
-        return out
+        return [m for m in self.models.values() if m.task == task]
 
     def tasks_with_models(self) -> list[str]:
         return sorted({m.task for m in self.models.values()})
@@ -167,8 +170,8 @@ class SystemState:
         self.space.validate_config(model.hparams)
 
     def commit_model(self, model: ModelSpec) -> None:
-        if model.id in self.models:
-            raise SystemError_(f"model {model.id} committed twice")
+        if self.models and model.id <= next(reversed(self.models)):
+            raise SystemError_(f"model {model.id} is not above the last committed id")
         self.validate_model(model)
         self.models[model.id] = model
         for lid in set(model.layer_ids()):
@@ -300,7 +303,7 @@ def export_dot(system: SystemState) -> str:
     lines = ["digraph multitask {", "  rankdir=BT;"]
     tasks = system.tasks_with_models()
     order = {t: i for i, t in enumerate(t for t in tasks if t != ROOT_TASK)}
-    models = sorted(system.models.values(), key=lambda m: m.id)
+    models = system.models.values()
 
     for task in tasks:
         lines.append(f'  "in_{task}" [shape=triangle, label="{task}"];')

@@ -9,7 +9,8 @@ be shared by models running at different resolutions while its flop cost still
 scales with the pixel count.
 
 Parameters are stored float32; gradient checking runs the same code in a
-float64 shadow evaluation.
+float64 shadow evaluation. Layer order is checked once, when a model is
+committed (``SystemState.validate_model``); the forward pass trusts it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .data import TaskDataset, bilinear_resample, bilinear_resize, bilinear_taps, blend
 from .rng import Rng
 from .search_space import RESOLUTION_AXIS
-from .system import EMBEDDING, HEAD, ModelSpec, SystemState
+from .system import ModelSpec, SystemState
 
 
 # Evaluation forwards at most this many images at once. Another chunk size
@@ -149,8 +150,6 @@ def _patchify(batch: np.ndarray, d_in: int):
 
 def _forward_cached(system: SystemState, model: ModelSpec, batch: np.ndarray, dtype):
     blocks = system.model_blocks(model)
-    if blocks[0].kind != EMBEDDING or blocks[-1].kind != HEAD:
-        raise TrainerError("model layer order is invalid")
     if batch.ndim != 4 or batch.shape[1] != model.hparams[RESOLUTION_AXIS]:
         raise TrainerError(
             f"batch shape {batch.shape} does not match the model's resolution "

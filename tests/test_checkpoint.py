@@ -74,8 +74,19 @@ def test_truncated_block_file_names_the_block(tmp_path):
     save_checkpoint(system, str(tmp_path))
     victim = sorted(system.blocks)[0]
     path = tmp_path / "blocks" / f"{victim}.bin"
-    path.write_bytes(path.read_bytes()[:10])
-    with pytest.raises(CheckpointError, match=str(victim)):
+    blob = path.read_bytes()
+    for corrupt in (blob[:10], blob + b"\0\0\0\0"):
+        path.write_bytes(corrupt)
+        with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
+            load_checkpoint(str(tmp_path))
+    path.write_bytes(blob)
+    manifest = tmp_path / "manifest"
+    b = system.blocks[victim]
+    line = f"block {victim} {b.kind} {b.d_in} {b.d_out} "
+    assert manifest.read_text().count(line) == 1
+    manifest.write_text(manifest.read_text().replace(
+        line, f"block {victim} {b.kind} {b.d_in} {b.d_out + 1} "))
+    with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
         load_checkpoint(str(tmp_path))
 
 
@@ -122,6 +133,32 @@ def test_creation_index_that_differs_from_the_id_is_rejected(tmp_path):
     for old, new, reason in (
             (model_line, wrong_model, "creation index"),
             (f"models={n} created={n} ", f"models={n} created={n + 1} ", "created=")):
+        assert text.count(old) == 1
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=reason):
+            load_checkpoint(str(tmp_path))
+
+
+def test_manifest_ids_must_ascend_and_stay_below_their_counters(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    nb, nm = system.next_block_id, system.next_model_id
+    top_block, top_model = max(system.blocks), max(system.models)
+    counters = f"blocks={nb} models={nm} created={nm} "
+    lines = text.splitlines()
+    b = next(i for i, line in enumerate(lines) if line.startswith("block "))
+    m = next(i for i, line in enumerate(lines) if line.startswith("model "))
+    two_blocks, two_models = lines[b:b + 2], lines[m:m + 8]  # model, layers, hparams, mu
+    for old, new, reason in (
+            (counters, f"blocks={top_block} models={nm} created={nm} ", "blocks="),
+            (counters, f"blocks={nb} models={top_model} created={top_model} ", "models="),
+            ("\n".join(two_blocks), "\n".join(two_blocks[::-1]), "out of id order"),
+            ("\n".join(two_models), "\n".join(two_models[4:] + two_models[:4]),
+             "not above"),
+            ("\n".join(two_models), "\n".join(two_models[:4] + two_models),
+             "listed twice")):
         assert text.count(old) == 1
         manifest.write_text(text.replace(old, new))
         with pytest.raises(CheckpointError, match=reason):

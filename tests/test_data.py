@@ -37,6 +37,19 @@ def test_split_round_trip(tmp_path):
     assert file_sha(str(path)) == first
 
 
+def test_truncated_split_names_the_file_and_the_counts(tmp_path):
+    images = np.zeros((2, 4, 4, 3), dtype=np.uint8)
+    path = tmp_path / "train.bin"
+    write_split(str(path), images, np.array([0, 1]))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-5])
+    with pytest.raises(DatasetError, match=r"train\.bin.*expected 2 samples, found 1\b"):
+        read_split(str(path))
+    path.write_bytes(blob[:12])
+    with pytest.raises(DatasetError, match=r"train\.bin.*header"):
+        read_split(str(path))
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\0" * 32)

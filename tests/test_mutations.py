@@ -213,3 +213,7 @@ def test_illegal_actions_rejected(small_system):
     with pytest.raises(MutationError):
         apply_mutations(small_system, root,
                         {MAKE_TRAINABLE_HEAD, hparam_action("nope")}, "a", 4, rng)
+    for withheld in (REMOVE_TOP_LAYER, hparam_action("resolution")):
+        with pytest.raises(MutationError):
+            apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD, withheld},
+                            "a", 4, rng, MODE_MUNET)

@@ -231,7 +231,22 @@ def test_validate_model_rejects_bad_layer_order():
         system.commit_model(bad)
 
 
+def test_commit_rejects_an_id_not_above_the_last_committed():
+    system = empty_system()
+    trunk = simple_trunk(system)
+    first = add_model(system, "a", trunk, 4, 2)
+    last = add_model(system, "a", trunk, 4, 2)
+    for mid in (last.id, first.id):
+        stale = ModelSpec(id=mid, task="a", layers=list(last.layers),
+                          hparams=system.space.default_config(), mu={})
+        with pytest.raises(SystemError_, match="not above"):
+            system.commit_model(stale)
+    assert list(system.models) == sorted(system.models)
+
+
 def check_against_brute_force(system, tasks):
+    assert list(system.models) == sorted(system.models)
+    assert list(system.blocks) == sorted(system.blocks)
     scan = [(m.task, set(m.layer_ids())) for m in system.models.values()]
     live = set().union(*(ids for _, ids in scan))
     assert set(system.blocks) == live
