@@ -106,8 +106,14 @@ def read_task_meta(path: str) -> TaskDataset:
     name = fields["name"]
     if not name or any(ch.isspace() for ch in name):
         raise DatasetError(f"{meta_path}: task name must be whitespace-free")
-    return TaskDataset(name=name, num_classes=int(fields["classes"]),
-                       h=int(fields["h"]), w=int(fields["w"]), c=int(fields["c"]))
+    dims = []
+    for key in ("classes", "h", "w", "c"):
+        try:
+            dims.append(int(fields[key]))
+        except ValueError:
+            raise DatasetError(
+                f"{meta_path}: {key}= is not an integer: {fields[key]!r}") from None
+    return TaskDataset(name, *dims)
 
 
 def load_task_dir(path: str) -> TaskDataset:

@@ -6,17 +6,20 @@ task. Each generation spawns children by sampling a parent (best-scoring
 active models first, falling back to a shuffled pass over the rest, each
 candidate accepted with probability 0.5^selections), sampling a mutation set
 from the parent's probability table, and training the child for a number of
-capped cycles. A child checkpoint is kept only while its score stays at or
-above both its own best checkpoint and the score of a same-task parent; a
-parent from another task imposes no bar. Finalization keeps the single
-best-scoring model for the task and garbage-collects everything it orphaned.
+capped cycles. The retention bar starts at a same-task parent's score (-inf
+for a parent from another task) and rises to each retained checkpoint's
+score. Finalization keeps the single best-scoring model for the task and
+garbage-collects everything it orphaned.
 
-A segment bundles config overrides (mode, scale factor, recalibration) with a
-round-robin block of task iterations, emitting a metrics snapshot after every
-iteration. A plan is a list of segments run in order by ``run_plan``, which
-records ``(segment label, iterations done)`` in ``system.run_position`` after
-every iteration; rerunning the plan on a checkpoint saved at any iteration
-continues exactly where it stopped.
+The mode is ``system.score_params.compute_factor_enabled`` (``compute=`` in a
+checkpoint): children sample ``munet_plus`` mutations exactly when it is on.
+A segment bundles overrides (mode, scale factor, recalibration, counts) with
+a round-robin block of task iterations, emitting a metrics snapshot after
+every iteration; one without ``mode`` keeps the system's mode. ``SegmentSpec``
+is frozen and checks its own fields. A plan is a list of segments run in
+order by ``run_plan``, which records ``(segment label, iterations done)`` in
+``system.run_position`` after every iteration; rerunning the plan on a
+checkpoint saved at any iteration continues exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .data import TaskDataset
-from .mutations import MODE_MUNET_PLUS, MODES, apply_mutations, fresh_mu_table, sample_mutations
+from .mutations import (MODE_MUNET, MODE_MUNET_PLUS, MODES, apply_mutations, fresh_mu_table,
+                        sample_mutations)
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, mean_costs, score_model
 from .search_space import RESOLUTION_AXIS, SearchSpace
@@ -48,16 +52,13 @@ class EvolutionConfig:
     children_per_generation: int = 2
     train_cycles: int = 4
     budget: TrainBudget = field(default_factory=TrainBudget)
-    mode: str = MODE_MUNET_PLUS
 
     def __post_init__(self):
         if min(self.generations, self.children_per_generation, self.train_cycles) <= 0:
             raise EvolutionError("generation, child and cycle counts must be positive")
-        if self.mode not in MODES:
-            raise EvolutionError(f"unknown mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentSpec:
     label: str
     tasks: list[str] = field(default_factory=list)
@@ -69,6 +70,14 @@ class SegmentSpec:
     children: int | None = None
     cycles: int | None = None
     samples_cap: int | None = None
+
+    def __post_init__(self):
+        if not self.label or any(ch.isspace() for ch in self.label):
+            raise EvolutionError(f"segment label {self.label!r} is not whitespace-free")
+        if self.mode is not None and self.mode not in MODES:
+            raise EvolutionError(f"unknown mode {self.mode!r}")
+        if self.iterations < 0:
+            raise EvolutionError("iterations must not be negative")
 
 
 @dataclass
@@ -168,18 +177,14 @@ def _train_child(system: SystemState, child: ModelSpec, parent: ModelSpec,
     # A child's resolution is fixed while it trains, so validation inputs are
     # preprocessed once, through the module so wrappers installed there see it.
     val_batch = trainer.preprocess_batch(val_images, child.hparams, None, train_mode=False)
-    parent_on_task = parent.task == task
+    bar = score_model(system, parent) if parent.task == task else -math.inf
     best = None
     for cycle in range(cfg.train_cycles):
         train_cycle(system, child, dataset, cfg.budget, cycle, cfg.train_cycles, rng)
         quality = batch_accuracy(system, child, val_batch, val_labels)
         candidate = score_model(system, child, quality)
-        bar = -math.inf
-        if best is not None:
-            bar = max(bar, score_model(system, child, best[0]))
-        if parent_on_task:
-            bar = max(bar, score_model(system, parent))
         if candidate >= bar:
+            bar = candidate
             best = (quality, {bid: system.block(bid).clone_arrays()
                               for bid in child.trainable_ids()})
     return best
@@ -192,12 +197,13 @@ def run_generation(system: SystemState, task: str, dataset: TaskDataset,
 
     Trainer failures are contained per child: the failing child is discarded
     and the generation moves on."""
+    mode = MODE_MUNET_PLUS if system.score_params.compute_factor_enabled else MODE_MUNET
     retained = []
     for _ in range(cfg.children_per_generation):
         parent = sample_parent(system, task, active, rng)
-        actions = sample_mutations(system, parent, cfg.mode, rng)
+        actions = sample_mutations(system, parent, mode, rng)
         child = apply_mutations(system, parent, actions, task, dataset.num_classes,
-                                rng, cfg.mode)
+                                rng, mode)
         system.commit_model(child)
         try:
             best = _train_child(system, child, parent, task, dataset, cfg, rng)
@@ -281,18 +287,13 @@ def _segment_config(segment: SegmentSpec, datasets: dict[str, TaskDataset],
     if segment.recalibrate is not None:
         # calibrate sets P and F to the multiplier times positive cost means
         ScoreParams(P=segment.recalibrate, F=segment.recalibrate)
-    cfg = base_cfg
-    if segment.mode is not None:
-        cfg = replace(cfg, mode=segment.mode)
-    if segment.generations is not None:
-        cfg = replace(cfg, generations=segment.generations)
-    if segment.children is not None:
-        cfg = replace(cfg, children_per_generation=segment.children)
-    if segment.cycles is not None:
-        cfg = replace(cfg, train_cycles=segment.cycles)
+    overrides = {key: value for key, value in (
+        ("generations", segment.generations),
+        ("children_per_generation", segment.children),
+        ("train_cycles", segment.cycles)) if value is not None}
     if segment.samples_cap is not None:
-        cfg = replace(cfg, budget=replace(cfg.budget, samples_cap=segment.samples_cap))
-    return cfg
+        overrides["budget"] = replace(base_cfg.budget, samples_cap=segment.samples_cap)
+    return replace(base_cfg, **overrides)
 
 
 def run_segment(system: SystemState, segment: SegmentSpec,
@@ -367,10 +368,17 @@ def run_plan(system: SystemState, segments: list[SegmentSpec],
         done = 0
 
 
+_SEGMENT_FIELDS = {
+    "mode": str, "s": float, "recalibrate": float, "iterations": int,
+    "generations": int, "children": int, "cycles": int, "samples_cap": int,
+    "tasks": lambda value: [t.strip() for t in value.split(",") if t.strip()],
+}
+
+
 def parse_segments(text: str) -> list[SegmentSpec]:
-    """Parse the line-oriented segment file format."""
+    """Parse the line-oriented segment file format: a ``segment <label>`` line
+    opens a segment and each ``<field> <value>`` line after it sets a field."""
     segments: list[SegmentSpec] = []
-    current: SegmentSpec | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -378,40 +386,16 @@ def parse_segments(text: str) -> list[SegmentSpec]:
         parts = line.split(None, 1)
         key = parts[0]
         value = parts[1].strip() if len(parts) > 1 else ""
-        if key == "segment":
-            if not value or any(ch.isspace() for ch in value):
-                raise EvolutionError(
-                    f"line {lineno}: segment needs a whitespace-free label")
-            current = SegmentSpec(label=value)
-            segments.append(current)
-            continue
-        if current is None:
-            raise EvolutionError(f"line {lineno}: {key!r} before any segment")
-        try:
-            if key == "mode":
-                if value not in MODES:
-                    raise ValueError(f"unknown mode {value!r}")
-                current.mode = value
-            elif key == "s":
-                current.s = float(value)
-            elif key == "recalibrate":
-                current.recalibrate = float(value)
-            elif key == "tasks":
-                current.tasks = [t.strip() for t in value.split(",") if t.strip()]
-            elif key == "iterations":
-                current.iterations = int(value)
-                if current.iterations < 0:
-                    raise ValueError("iterations must not be negative")
-            elif key == "generations":
-                current.generations = int(value)
-            elif key == "children":
-                current.children = int(value)
-            elif key == "cycles":
-                current.cycles = int(value)
-            elif key == "samples_cap":
-                current.samples_cap = int(value)
-            else:
+        if key != "segment":
+            if not segments:
+                raise EvolutionError(f"line {lineno}: {key!r} before any segment")
+            if key not in _SEGMENT_FIELDS:
                 raise EvolutionError(f"line {lineno}: unknown directive {key!r}")
+        try:
+            if key == "segment":
+                segments.append(SegmentSpec(label=value))
+            else:
+                segments[-1] = replace(segments[-1], **{key: _SEGMENT_FIELDS[key](value)})
         except ValueError as exc:
             raise EvolutionError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     if not segments:

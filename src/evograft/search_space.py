@@ -80,9 +80,6 @@ class SearchSpace:
             raise SpaceError("duplicate axis names")
         self.axes: dict[str, HparamAxis] = {a.name: a for a in axes}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.axes
-
     def axis(self, name: str) -> HparamAxis:
         try:
             return self.axes[name]

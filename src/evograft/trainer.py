@@ -180,13 +180,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss(system: SystemState, model: ModelSpec, batch: np.ndarray,
-         labels: np.ndarray, dtype=np.float32) -> float:
-    logits, _ = _forward_cached(system, model, batch, dtype)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean())
-
-
 def loss_and_gradients(system: SystemState, model: ModelSpec, batch: np.ndarray,
                        labels: np.ndarray, dtype=np.float32):
     """Mean cross-entropy and its exact gradients for the trainable blocks.

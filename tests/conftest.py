@@ -14,6 +14,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in RESULTS:
             terminalreporter.write_line(line)
 
+from evograft import trainer
 from evograft.data import TaskDataset
 from evograft.evolution import EvolutionError, bootstrap_system
 from evograft.mutations import MAKE_TRAINABLE_HEAD, clone_action
@@ -136,3 +137,12 @@ def finetune_top_actions(parent: ModelSpec, top_k: int) -> set:
 def space_text(space: SearchSpace) -> str:
     """The space as an axis-table file."""
     return "".join(format_axis_line(a) + "\n" for a in space.axes.values())
+
+
+def loss(system: SystemState, model: ModelSpec, batch: np.ndarray,
+         labels: np.ndarray, dtype=np.float32) -> float:
+    """Mean cross-entropy of ``model`` on ``batch``: the finite-difference
+    reference for ``trainer.loss_and_gradients``."""
+    logits, _ = trainer._forward_cached(system, model, batch, dtype)
+    logp = trainer._log_softmax(logits)
+    return float(-logp[np.arange(len(labels)), labels].mean())

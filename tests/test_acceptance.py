@@ -35,9 +35,9 @@ from evograft.mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET_PLUS,
 from evograft.rng import Rng
 from evograft.scoring import ScoreParams, score
 from evograft.search_space import MU_GRID, MU_INIT, load_builtin_space, on_mu_grid
-from evograft.trainer import TrainBudget, evaluate, loss, loss_and_gradients
+from evograft.trainer import TrainBudget, evaluate, loss_and_gradients
 
-from conftest import add_model, empty_system, simple_trunk
+from conftest import add_model, empty_system, loss, simple_trunk
 from test_system import accounted_oracle, build_random_system
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from evograft.data import (DatasetError, GenSpec, TaskGenSpec, bilinear_resize,
                            generate_synthetic_tasks, load_task_dir, parse_gen_spec,
-                           read_split, write_split)
+                           read_split, read_task_meta, write_split)
 
 
 def file_sha(path):
@@ -48,6 +48,15 @@ def test_truncated_split_names_the_file_and_the_counts(tmp_path):
     path.write_bytes(blob[:12])
     with pytest.raises(DatasetError, match=r"train\.bin.*header"):
         read_split(str(path))
+
+
+def test_non_integer_meta_field_names_the_file_and_the_field(tmp_path):
+    good = {"name": "alpha", "classes": "4", "h": "8", "w": "8", "c": "3"}
+    for field in ("classes", "h", "w", "c"):
+        fields = dict(good, **{field: "abc"})
+        (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        with pytest.raises(DatasetError, match=rf"meta\b.*\b{field}=.*'abc'"):
+            read_task_meta(str(tmp_path))
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from evograft import trainer
+from evograft import evolution, trainer
 from evograft.evolution import (EvolutionConfig, EvolutionError, SegmentSpec,
                                 _restore_payload, _train_child, bootstrap_system,
                                 metrics_snapshot, parent_acceptance_probability,
@@ -17,7 +19,7 @@ from conftest import finetune_top_actions, make_dataset
 
 def quick_config(**kw):
     base = dict(generations=1, children_per_generation=1, train_cycles=1,
-                budget=TrainBudget(batch_size=16), mode=MODE_MUNET_PLUS)
+                budget=TrainBudget(batch_size=16))
     base.update(kw)
     return EvolutionConfig(**base)
 
@@ -328,6 +330,41 @@ def test_parse_segments_rejects_garbage():
         parse_segments("segment a\nsegment a\n")
     with pytest.raises(EvolutionError):
         parse_segments("")
+    for text, reason in (("segment\n", "line 1: .*label '' is not whitespace-free"),
+                         ("segment a\n\nmode nosuch\n", "line 3: .*unknown mode 'nosuch'"),
+                         ("segment a\niterations -1\n", "line 2: .*must not be negative"),
+                         ("segment a\ncycles two\n", "line 2: bad value for 'cycles'"),
+                         ("segment a\nspeed 3\n", "^line 2: unknown directive 'speed'$")):
+        with pytest.raises(EvolutionError, match=reason):
+            parse_segments(text)
+
+
+def test_segment_spec_checks_itself_and_is_frozen():
+    with pytest.raises(EvolutionError, match="unknown mode 'bogus'"):
+        SegmentSpec(label="x", mode="bogus")
+    with pytest.raises(EvolutionError, match="must not be negative"):
+        SegmentSpec(label="x", iterations=-1)
+    with pytest.raises(EvolutionError, match="not whitespace-free"):
+        SegmentSpec(label="a b")
+    segment = SegmentSpec(label="x", mode=MODE_MUNET)
+    with pytest.raises(FrozenInstanceError):
+        segment.mode = "bogus"
+
+
+def test_segment_without_mode_keeps_the_systems_mode(monkeypatch):
+    seen = []
+    real = evolution.sample_mutations
+
+    def spy(system, parent, mode, rng):
+        seen.append((mode, system.score_params.compute_factor_enabled))
+        return real(system, parent, mode, rng)
+
+    monkeypatch.setattr(evolution, "sample_mutations", spy)
+    system = fresh_system()
+    datasets = {"a": make_dataset("a", seed=52)}
+    run_plan(system, [SegmentSpec(label="base", tasks=["a"], mode=MODE_MUNET),
+                      SegmentSpec(label="next", tasks=["a"])], datasets, quick_config())
+    assert seen == [(MODE_MUNET, False), (MODE_MUNET, False)]
 
 
 def test_run_segment_recalibrate_only_changes_score_params():

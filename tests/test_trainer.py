@@ -6,11 +6,11 @@ import pytest
 from evograft.mutations import MAKE_TRAINABLE_HEAD, apply_mutations, clone_action
 from evograft.rng import Rng
 from evograft.system import EMBEDDING, HEAD, HIDDEN
-from evograft.trainer import (TrainBudget, TrainerError, evaluate, forward, loss,
+from evograft.trainer import (TrainBudget, TrainerError, evaluate, forward,
                               loss_and_gradients, lr_at, preprocess_batch, sgd_step,
                               train_cycle)
 
-from conftest import add_model, empty_system, make_dataset, simple_trunk
+from conftest import add_model, empty_system, loss, make_dataset, simple_trunk
 
 
 def test_default_config_pipeline_is_plain_resize(desk_space):
