@@ -12,13 +12,12 @@ from .checkpoint import (block_digest, checkpoint_digest, load_checkpoint,
                          save_checkpoint, system_digest)
 from .data import (GenSpec, TaskDataset, TaskGenSpec, generate_synthetic_tasks,
                    load_gen_spec, load_task_dir, scan_task_dirs)
-from .evolution import (EvolutionConfig, MetricsSnapshot, SegmentSpec,
-                        bootstrap_system, load_segments, metrics_snapshot,
+from .evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig, MetricsSnapshot,
+                        SegmentSpec, bootstrap_system, load_segments, metrics_snapshot,
                         parent_acceptance_probability, parse_segments,
                         run_generation, run_plan, run_segment,
                         run_task_iteration, sample_parent)
-from .mutations import (MODE_MUNET, MODE_MUNET_PLUS, MutationAction,
-                        apply_mutations, inherit_mu, possible_mutations,
+from .mutations import (MutationAction, apply_mutations, inherit_mu, possible_mutations,
                         sample_mutations)
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, score, score_model

@@ -139,14 +139,10 @@ def load_checkpoint(path: str) -> SystemState:
             text = fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"no manifest under {path}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise CheckpointError("empty manifest")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "evograft-checkpoint":
-        raise CheckpointError("manifest header is malformed")
-    if int(head[1]) != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {head[1]}")
+    lines = text.splitlines() or [""]
+    if lines[0] != f"evograft-checkpoint {FORMAT_VERSION}":
+        raise CheckpointError(f"unsupported manifest header {lines[0]!r}: "
+                              f"this reader takes version {FORMAT_VERSION}")
 
     rng = None
     score = None
@@ -175,11 +171,13 @@ def load_checkpoint(path: str) -> SystemState:
                 rng = Rng(int(seed), label, int(counter))
             elif key == "score":
                 fields = dict(tok.split("=", 1) for tok in rest.split())
-                if int(fields["size"]) != 1:
+                if fields["size"] != "1":
                     raise CheckpointError("size= must be 1: the size factor is always on")
+                if fields["compute"] not in ("0", "1"):
+                    raise CheckpointError(f"compute= must be 0 or 1, not {fields['compute']!r}")
                 score = ScoreParams(s=float(fields["s"]), P=float(fields["P"]),
                                     F=float(fields["F"]),
-                                    compute_factor_enabled=bool(int(fields["compute"])))
+                                    compute_factor_enabled=fields["compute"] == "1")
             elif key == "counters":
                 counters = {k: int(v) for k, v in
                             (tok.split("=", 1) for tok in rest.split())}
@@ -236,6 +234,8 @@ def load_checkpoint(path: str) -> SystemState:
                 ever_trainable.add(int(rest))
             elif key == "position":
                 seg, done = rest.split()
+                if int(done) < 0:
+                    raise CheckpointError(f"position {seg} has a negative count {done}")
                 position = (seg, int(done))
             elif key == "history":
                 idx, seg, task, acc, params, flops = rest.split()

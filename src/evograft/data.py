@@ -189,7 +189,11 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 # -- synthetic generation ------------------------------------------------------
 
-@dataclass
+_TASK_COUNTS = ("classes", "h", "w", "c", "train", "val", "test")
+_TASK_FIELDS = {"noise": float, **dict.fromkeys(_TASK_COUNTS, int)}
+
+
+@dataclass(frozen=True)
 class TaskGenSpec:
     name: str
     classes: int
@@ -201,6 +205,11 @@ class TaskGenSpec:
     test: int = 64
     noise: float = 0.06
 
+    def __post_init__(self):
+        for key in _TASK_COUNTS:
+            if getattr(self, key) < 1:
+                raise DatasetError(f"{key}= must be at least 1, got {getattr(self, key)}")
+
 
 @dataclass
 class GenSpec:
@@ -211,36 +220,38 @@ class GenSpec:
 def parse_gen_spec(text: str) -> GenSpec:
     tasks: list[TaskGenSpec] = []
     relations = []
-    names = set()
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "task":
-            if len(parts) < 2:
-                raise DatasetError(f"malformed task line: {line!r}")
-            spec = TaskGenSpec(name=parts[1], classes=4)
-            for token in parts[2:]:
-                key, _, value = token.partition("=")
-                if key == "noise":
-                    spec.noise = float(value)
-                elif key in ("classes", "h", "w", "c", "train", "val", "test"):
-                    setattr(spec, key, int(value))
-                else:
-                    raise DatasetError(f"unknown task field {key!r}")
-            if spec.name in names:
-                raise DatasetError(f"duplicate task name {spec.name!r}")
-            names.add(spec.name)
-            tasks.append(spec)
-        elif parts[0] == "relate":
-            if len(parts) != 4 or not parts[3].startswith("share="):
-                raise DatasetError(f"malformed relate line: {line!r}")
-            relations.append((parts[1], parts[2], float(parts[3][6:])))
-        else:
-            raise DatasetError(f"unknown directive {parts[0]!r}")
+        try:
+            if parts[0] == "task":
+                if len(parts) < 2:
+                    raise DatasetError(f"malformed task line: {line!r}")
+                fields = {"classes": 4}
+                for token in parts[2:]:
+                    key, _, value = token.partition("=")
+                    if key not in _TASK_FIELDS:
+                        raise DatasetError(f"unknown task field {key!r}")
+                    try:
+                        fields[key] = _TASK_FIELDS[key](value)
+                    except ValueError:
+                        raise DatasetError(f"bad value for {key}=: {value!r}") from None
+                if parts[1] in {t.name for t in tasks}:
+                    raise DatasetError(f"duplicate task name {parts[1]!r}")
+                tasks.append(TaskGenSpec(name=parts[1], **fields))
+            elif parts[0] == "relate":
+                if len(parts) != 4 or not parts[3].startswith("share="):
+                    raise DatasetError(f"malformed relate line: {line!r}")
+                relations.append((parts[1], parts[2], float(parts[3][6:])))
+            else:
+                raise DatasetError(f"unknown directive {parts[0]!r}")
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from None
     if not tasks:
         raise DatasetError("generation spec defines no tasks")
+    names = {t.name for t in tasks}
     for a, b, share in relations:
         if a not in names or b not in names:
             raise DatasetError(f"relation references unknown task: {a} {b}")

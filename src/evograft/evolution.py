@@ -12,12 +12,12 @@ score. Finalization keeps the single best-scoring model for the task and
 garbage-collects everything it orphaned.
 
 The mode is ``system.score_params.compute_factor_enabled`` (``compute=`` in a
-checkpoint): children sample ``munet_plus`` mutations exactly when it is on.
-A segment bundles overrides (mode, scale factor, recalibration, counts) with
-a round-robin block of task iterations, emitting a metrics snapshot after
-every iteration; one without ``mode`` keeps the system's mode. ``SegmentSpec``
-is frozen and checks its own fields. A plan is a list of segments run in
-order by ``run_plan``, which records ``(segment label, iterations done)`` in
+checkpoint), which the mutation functions read. A segment bundles overrides
+(mode, scale factor, recalibration, counts) with a round-robin block of task
+iterations, emitting a metrics snapshot after every iteration; one without
+``mode`` keeps the system's mode. ``SegmentSpec`` is frozen and checks its own
+fields. A plan is a list of uniquely labelled segments run in order by
+``run_plan``, which records ``(segment label, iterations done)`` in
 ``system.run_position`` after every iteration; rerunning the plan on a
 checkpoint saved at any iteration continues exactly where it stopped.
 """
@@ -29,17 +29,20 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .data import TaskDataset
-from .mutations import (MODE_MUNET, MODE_MUNET_PLUS, MODES, apply_mutations, fresh_mu_table,
-                        sample_mutations)
+from .mutations import apply_mutations, possible_mutations, sample_mutations
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, mean_costs, score_model
-from .search_space import RESOLUTION_AXIS, SearchSpace
+from .search_space import MU_INIT, RESOLUTION_AXIS, SearchSpace
 from .system import (EMBEDDING, HEAD, HIDDEN, MIN_HIDDEN_DEPTH, ROOT_TASK, ModelSpec,
                      SystemError_, SystemState, init_params, zero_params)
 from . import trainer
 from .trainer import TrainBudget, TrainerError, batch_accuracy, evaluate, train_cycle
 
 log = logging.getLogger("evograft")
+
+MODE_MUNET = "munet"
+MODE_MUNET_PLUS = "munet_plus"
+MODES = (MODE_MUNET, MODE_MUNET_PLUS)
 
 
 class EvolutionError(ValueError):
@@ -126,7 +129,7 @@ def bootstrap_system(space: SearchSpace, seed: int, width: int = 32, depth: int 
 
     root = ModelSpec(id=system.new_model_id(), task=ROOT_TASK, layers=layers,
                      hparams=space.default_config(), mu={})
-    root.mu = fresh_mu_table(system, root, MODE_MUNET_PLUS)
+    root.mu = {action: MU_INIT for action in possible_mutations(system, root)}
     system.commit_model(root)
     return system
 
@@ -197,13 +200,11 @@ def run_generation(system: SystemState, task: str, dataset: TaskDataset,
 
     Trainer failures are contained per child: the failing child is discarded
     and the generation moves on."""
-    mode = MODE_MUNET_PLUS if system.score_params.compute_factor_enabled else MODE_MUNET
     retained = []
     for _ in range(cfg.children_per_generation):
         parent = sample_parent(system, task, active, rng)
-        actions = sample_mutations(system, parent, mode, rng)
-        child = apply_mutations(system, parent, actions, task, dataset.num_classes,
-                                rng, mode)
+        actions = sample_mutations(system, parent, rng)
+        child = apply_mutations(system, parent, actions, task, dataset.num_classes, rng)
         system.commit_model(child)
         try:
             best = _train_child(system, child, parent, task, dataset, cfg, rng)
@@ -339,15 +340,18 @@ def run_plan(system: SystemState, segments: list[SegmentSpec],
     are skipped, and the named one resumes after its recorded iterations. The
     position advances before ``on_iteration(snap)`` is called, so a
     checkpoint saved there resumes after that iteration. Rerunning a finished
-    plan does nothing. Every segment is checked before the first iteration,
-    so a bad plan fails without changing the system.
+    plan does nothing. Every segment, and the uniqueness of the labels the
+    position names, is checked before the first iteration, so a bad plan
+    fails without changing the system.
     """
+    labels = [s.label for s in segments]
     for segment in segments:
         _segment_config(segment, datasets, base_cfg)
+        if labels.count(segment.label) > 1:
+            raise EvolutionError(f"segment label {segment.label!r} is repeated")
     first, done = 0, 0
     if system.run_position is not None:
         label, done = system.run_position
-        labels = [s.label for s in segments]
         if label not in labels:
             raise EvolutionError(f"checkpoint is positioned at unknown segment {label!r}")
         first = labels.index(label)
@@ -400,9 +404,6 @@ def parse_segments(text: str) -> list[SegmentSpec]:
             raise EvolutionError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     if not segments:
         raise EvolutionError("segment file defines no segments")
-    labels = [s.label for s in segments]
-    if len(set(labels)) != len(labels):
-        raise EvolutionError("segment labels must be unique")
     return segments
 
 

@@ -4,11 +4,11 @@ Three structural knobs exist: cloning any non-head layer into a private
 trainable copy (parameters and optimizer state travel with it), removing the
 topmost hidden block, and stepping one hyperparameter to a neighboring value.
 A child always receives its own trainable head. The legal actions are that
-new head plus what ``possible_mutations`` lists for the parent in the run's
-mode; ``apply_mutations`` rejects any other. Each model carries a lookup table
-mapping every action it could take to a probability on a fixed grid; the
-table is inherited by children and drifts by the same neighbor-stepping rule
-the hyperparameters use.
+new head plus what ``possible_mutations`` lists for the parent, which follows
+the system's ``compute=`` flag; no function takes a mode, and
+``apply_mutations`` rejects any other action. Each model maps every action it
+could take to a probability on a fixed grid; children inherit the table, and
+it drifts by the hyperparameters' neighbor-stepping rule.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from .rng import Rng
 from .search_space import MU_INIT, RESOLUTION_AXIS, mu_neighbors, on_mu_grid
 from .system import HEAD, MIN_HIDDEN_DEPTH, ModelSpec, SystemState, zero_params
-
-MODE_MUNET = "munet"
-MODE_MUNET_PLUS = "munet_plus"
-MODES = (MODE_MUNET, MODE_MUNET_PLUS)
 
 CLONE = "clone"
 REMOVE = "remove"
@@ -67,36 +63,28 @@ def hparam_action(axis: str) -> MutationAction:
     return MutationAction(HPARAM, axis)
 
 
-def possible_mutations(system: SystemState, model: ModelSpec,
-                       mode: str = MODE_MUNET_PLUS) -> list[MutationAction]:
+def possible_mutations(system: SystemState, model: ModelSpec) -> list[MutationAction]:
     """Enumerate the optional actions for spawning a child of ``model``.
 
-    The unconditional new-head action is not listed. In the baseline mode the
-    compute-affecting actions (top-layer removal, resolution change) are
-    withheld.
+    The unconditional new-head action is not listed. The compute-affecting
+    actions (top-layer removal, resolution change) are listed only while
+    ``system.score_params.compute_factor_enabled`` is on.
     """
-    if mode not in MODES:
-        raise MutationError(f"unknown mode {mode!r}")
+    compute = system.score_params.compute_factor_enabled
     actions = [clone_action(i) for i in range(len(model.layers) - 1)]
-    if mode == MODE_MUNET_PLUS and model.hidden_count() > MIN_HIDDEN_DEPTH:
+    if compute and model.hidden_count() > MIN_HIDDEN_DEPTH:
         actions.append(REMOVE_TOP_LAYER)
     for axis in system.space.axis_names():
-        if axis == RESOLUTION_AXIS and mode != MODE_MUNET_PLUS:
-            continue
-        actions.append(hparam_action(axis))
+        if compute or axis != RESOLUTION_AXIS:
+            actions.append(hparam_action(axis))
     return actions
 
 
-def fresh_mu_table(system: SystemState, model: ModelSpec,
-                   mode: str = MODE_MUNET_PLUS) -> dict[MutationAction, float]:
-    return {action: MU_INIT for action in possible_mutations(system, model, mode)}
-
-
-def sample_mutations(system: SystemState, parent: ModelSpec, mode: str,
+def sample_mutations(system: SystemState, parent: ModelSpec,
                      rng: Rng) -> set[MutationAction]:
     """Draw a mutation set: the head action always, others by their table entry."""
     chosen = {MAKE_TRAINABLE_HEAD}
-    for action in possible_mutations(system, parent, mode):
+    for action in possible_mutations(system, parent):
         mu = parent.mu.get(action, MU_INIT)
         if mu > rng.uniform():
             chosen.add(action)
@@ -121,7 +109,7 @@ def inherit_mu(parent_mu: dict, child_actions: list[MutationAction],
 
 def apply_mutations(system: SystemState, parent: ModelSpec,
                     actions: set[MutationAction], task: str, num_classes: int,
-                    rng: Rng, mode: str = MODE_MUNET_PLUS) -> ModelSpec:
+                    rng: Rng) -> ModelSpec:
     """Materialize a child model from a parent and a sampled action set.
 
     Cloned layers become fresh trainable blocks copying the parent's
@@ -130,10 +118,10 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     they are resolved. The child is registered in the block store but not
     committed as a model.
     """
-    illegal = actions - {MAKE_TRAINABLE_HEAD} - set(possible_mutations(system, parent, mode))
+    illegal = actions - {MAKE_TRAINABLE_HEAD} - set(possible_mutations(system, parent))
     if illegal:
         keys = ", ".join(sorted(a.key() for a in illegal))
-        raise MutationError(f"actions not legal for model {parent.id} in {mode} mode: {keys}")
+        raise MutationError(f"actions not legal for model {parent.id}: {keys}")
 
     non_head = len(parent.layers) - 1
     keep = list(range(non_head))
@@ -172,6 +160,6 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
 
     child = ModelSpec(id=system.new_model_id(), task=task, layers=layers,
                       hparams=hparams, mu={}, parent_id=parent.id)
-    child.mu = inherit_mu(parent.mu, possible_mutations(system, child, mode), rng)
+    child.mu = inherit_mu(parent.mu, possible_mutations(system, child), rng)
     return child
 

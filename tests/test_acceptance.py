@@ -29,9 +29,8 @@ from evograft.evolution import (EvolutionConfig, SegmentSpec, _train_child,
                                 bootstrap_system, metrics_snapshot,
                                 parent_acceptance_probability, run_segment,
                                 run_task_iteration)
-from evograft.mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET_PLUS,
-                                apply_mutations, clone_action, inherit_mu,
-                                sample_mutations)
+from evograft.mutations import (MAKE_TRAINABLE_HEAD, apply_mutations, clone_action,
+                                inherit_mu, sample_mutations)
 from evograft.rng import Rng
 from evograft.scoring import ScoreParams, score
 from evograft.search_space import MU_GRID, MU_INIT, load_builtin_space, on_mu_grid
@@ -267,7 +266,7 @@ def test_mu_mechanics():
     n, hits = 10_000, 0
     sample_rng = Rng(62, "incl")
     for _ in range(n):
-        hits += probe in sample_mutations(system, root, MODE_MUNET_PLUS, sample_rng)
+        hits += probe in sample_mutations(system, root, sample_rng)
     assert abs(hits / n - 0.2) < 0.01
 
 

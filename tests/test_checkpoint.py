@@ -176,6 +176,23 @@ def test_size_factor_that_is_switched_off_is_rejected(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
+def test_manifest_values_outside_their_domain_are_rejected(tmp_path):
+    system = evolved_system()
+    system.run_position = ("seg", 1)
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    for old, new, reason in (
+            ("evograft-checkpoint 1\n", "evograft-checkpoint one\n",
+             "header 'evograft-checkpoint one'"),
+            (" compute=1\n", " compute=2\n", "compute="),
+            ("position seg 1\n", "position seg -2\n", "negative")):
+        assert text.count(old) == 1
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=reason):
+            load_checkpoint(str(tmp_path))
+
+
 def test_load_rejects_a_model_that_does_not_validate(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))

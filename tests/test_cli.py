@@ -261,7 +261,8 @@ def test_run_rejects_a_bad_plan_before_its_first_iteration(tmp_path, capsys):
             (SEGMENTS + "\nsegment more\ntasks alpha\nsamples_cap 0\n",
              "budget fields must be positive"),
             (SEGMENTS + "\nsegment more\ns 1.5\n", "scale factor s"),
-            (SEGMENTS + "\nsegment more\nrecalibrate -1\n", "parameter scale P")):
+            (SEGMENTS + "\nsegment more\nrecalibrate -1\n", "parameter scale P"),
+            (SEGMENTS + "\nsegment tiny\ntasks beta\n", "label 'tiny' is repeated")):
         plan = write(root / "bad.txt", bad)
         assert main(["run", "--checkpoint", ckpt, "--segments", plan]) == 1
         err = capsys.readouterr().err

@@ -134,6 +134,17 @@ relate a b share=0.5
         parse_gen_spec("")
 
 
+def test_gen_spec_values_are_checked_where_the_spec_is_built():
+    with pytest.raises(DatasetError, match="^line 2: bad value for classes=: 'abc'$"):
+        parse_gen_spec("task a classes=4\ntask b classes=abc\n")
+    for field in ("classes", "h", "w", "c", "train", "val", "test"):
+        for value in (0, -1):
+            with pytest.raises(DatasetError, match=f"^line 1: .*{field}= must be at least 1"):
+                parse_gen_spec(f"task a {field}={value}\n")
+            with pytest.raises(DatasetError, match=f"{field}= must be at least 1"):
+                TaskGenSpec(**{"name": "a", "classes": 4, field: value})
+
+
 def test_bilinear_resize_properties():
     rng = np.random.default_rng(0)
     image = rng.uniform(0.2, 0.8, size=(6, 6, 3))

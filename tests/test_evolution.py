@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from evograft import evolution, trainer
-from evograft.evolution import (EvolutionConfig, EvolutionError, SegmentSpec,
-                                _restore_payload, _train_child, bootstrap_system,
-                                metrics_snapshot, parent_acceptance_probability,
-                                parse_segments, run_generation, run_plan,
-                                run_segment, run_task_iteration, sample_parent)
-from evograft.mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET, MODE_MUNET_PLUS,
-                                apply_mutations, clone_action)
+from evograft.evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig,
+                                EvolutionError, SegmentSpec, _restore_payload,
+                                _train_child, bootstrap_system, metrics_snapshot,
+                                parent_acceptance_probability, parse_segments,
+                                run_generation, run_plan, run_segment,
+                                run_task_iteration, sample_parent)
+from evograft.mutations import MAKE_TRAINABLE_HEAD, apply_mutations, clone_action
 from evograft.rng import Rng
 from evograft.trainer import TrainBudget, evaluate
 
@@ -327,8 +327,6 @@ def test_parse_segments_rejects_garbage():
     with pytest.raises(EvolutionError):
         parse_segments("segment a\nmode nosuch\n")
     with pytest.raises(EvolutionError):
-        parse_segments("segment a\nsegment a\n")
-    with pytest.raises(EvolutionError):
         parse_segments("")
     for text, reason in (("segment\n", "line 1: .*label '' is not whitespace-free"),
                          ("segment a\n\nmode nosuch\n", "line 3: .*unknown mode 'nosuch'"),
@@ -355,16 +353,16 @@ def test_segment_without_mode_keeps_the_systems_mode(monkeypatch):
     seen = []
     real = evolution.sample_mutations
 
-    def spy(system, parent, mode, rng):
-        seen.append((mode, system.score_params.compute_factor_enabled))
-        return real(system, parent, mode, rng)
+    def spy(system, parent, rng):
+        seen.append(system.score_params.compute_factor_enabled)
+        return real(system, parent, rng)
 
     monkeypatch.setattr(evolution, "sample_mutations", spy)
     system = fresh_system()
     datasets = {"a": make_dataset("a", seed=52)}
     run_plan(system, [SegmentSpec(label="base", tasks=["a"], mode=MODE_MUNET),
                       SegmentSpec(label="next", tasks=["a"])], datasets, quick_config())
-    assert seen == [(MODE_MUNET, False), (MODE_MUNET, False)]
+    assert seen == [False, False]
 
 
 def test_run_segment_recalibrate_only_changes_score_params():
@@ -415,6 +413,19 @@ def test_run_plan_rejects_unknown_position_label():
         run_plan(system, plan, {}, quick_config())
     assert system.score_params == before
     assert system.run_position == ("gone", 1)
+
+
+def test_run_plan_rejects_repeated_labels_before_any_iteration():
+    from evograft.checkpoint import system_digest
+    system = fresh_system()
+    before = system_digest(system)
+    datasets = {"a": make_dataset("a", seed=52), "b": make_dataset("b", seed=53)}
+    for plan in ([SegmentSpec("x", ["a"]), SegmentSpec("x", ["b"], iterations=2)],
+                 parse_segments("segment a\nsegment a\n")):
+        with pytest.raises(EvolutionError, match="label '[xa]' is repeated"):
+            run_plan(system, plan, datasets, quick_config())
+        assert system_digest(system) == before
+        assert system.history == [] and system.run_position is None
 
 
 def test_finetune_top_actions_shape():

@@ -1,18 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evograft.mutations import (MAKE_TRAINABLE_HEAD, MODE_MUNET, MODE_MUNET_PLUS,
-                                MutationAction, MutationError, REMOVE_TOP_LAYER,
-                                apply_mutations, clone_action, hparam_action,
-                                inherit_mu, possible_mutations, sample_mutations)
+from evograft.mutations import (MAKE_TRAINABLE_HEAD, MutationAction, MutationError,
+                                REMOVE_TOP_LAYER, apply_mutations, clone_action,
+                                hparam_action, inherit_mu, possible_mutations,
+                                sample_mutations)
 from evograft.rng import Rng
 from evograft.search_space import MU_INIT, on_mu_grid
 from evograft.system import ROOT_TASK
 
 def root_of(system):
     return next(m for m in system.models.values() if m.task == ROOT_TASK)
+
+
+def switch_compute_off(system):
+    system.score_params = replace(system.score_params, compute_factor_enabled=False)
 
 
 def test_action_key_round_trip():
@@ -23,9 +28,10 @@ def test_action_key_round_trip():
 
 def test_possible_mutation_counts(small_system):
     root = root_of(small_system)  # embedding + 3 hidden blocks
-    plus = possible_mutations(small_system, root, MODE_MUNET_PLUS)
+    plus = possible_mutations(small_system, root)
     assert len(plus) == 4 + 1 + 13
-    base = possible_mutations(small_system, root, MODE_MUNET)
+    switch_compute_off(small_system)
+    base = possible_mutations(small_system, root)
     assert len(base) == 4 + 12
     assert REMOVE_TOP_LAYER not in base
     assert hparam_action("resolution") not in base
@@ -41,13 +47,13 @@ def test_remove_absent_at_min_depth(small_system):
     child = apply_mutations(small_system, child, {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER},
                             "a", 3, rng)
     assert child.hidden_count() == 1
-    assert REMOVE_TOP_LAYER not in possible_mutations(small_system, child, MODE_MUNET_PLUS)
+    assert REMOVE_TOP_LAYER not in possible_mutations(small_system, child)
 
 
 def test_sample_always_contains_head_and_replays(small_system):
     root = root_of(small_system)
-    first = sample_mutations(small_system, root, MODE_MUNET_PLUS, Rng(4, "s"))
-    second = sample_mutations(small_system, root, MODE_MUNET_PLUS, Rng(4, "s"))
+    first = sample_mutations(small_system, root, Rng(4, "s"))
+    second = sample_mutations(small_system, root, Rng(4, "s"))
     assert MAKE_TRAINABLE_HEAD in first
     assert first == second
 
@@ -58,18 +64,18 @@ def test_sample_inclusion_frequency_at_init_value(small_system):
     rng = Rng(123, "freq")
     probe = clone_action(0)
     n = 10_000
-    hits = sum(probe in sample_mutations(small_system, root, MODE_MUNET_PLUS, rng)
+    hits = sum(probe in sample_mutations(small_system, root, rng)
                for _ in range(n))
     assert abs(hits / n - MU_INIT) < 0.01
 
 
 def test_sample_expected_set_size_at_grid_minimum(small_system):
     root = root_of(small_system)
-    actions = possible_mutations(small_system, root, MODE_MUNET_PLUS)
+    actions = possible_mutations(small_system, root)
     root.mu = {a: 0.02 for a in actions}
     rng = Rng(321, "size")
     n = 100_000
-    total = sum(len(sample_mutations(small_system, root, MODE_MUNET_PLUS, rng))
+    total = sum(len(sample_mutations(small_system, root, rng))
                 for _ in range(n))
     expected = 1.0 + 0.02 * len(actions)
     sigma_mean = math.sqrt(len(actions) * 0.02 * 0.98 / n)
@@ -190,7 +196,7 @@ def test_child_layer_count_within_one_of_parent(small_system):
     root = root_of(small_system)
     rng = Rng(18, "count")
     for trial in range(20):
-        actions = sample_mutations(small_system, root, MODE_MUNET_PLUS, rng)
+        actions = sample_mutations(small_system, root, rng)
         child = apply_mutations(small_system, root, actions, "a", 4, rng)
         assert len(child.layers) in (len(root.layers) - 1, len(root.layers))
 
@@ -200,7 +206,7 @@ def test_child_mu_covers_child_actions(small_system):
     rng = Rng(19, "cover")
     child = apply_mutations(small_system, root,
                             {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER}, "a", 4, rng)
-    assert set(child.mu) == set(possible_mutations(small_system, child, MODE_MUNET_PLUS))
+    assert set(child.mu) == set(possible_mutations(small_system, child))
     assert all(on_mu_grid(v) for v in child.mu.values())
 
 
@@ -213,7 +219,17 @@ def test_illegal_actions_rejected(small_system):
     with pytest.raises(MutationError):
         apply_mutations(small_system, root,
                         {MAKE_TRAINABLE_HEAD, hparam_action("nope")}, "a", 4, rng)
-    for withheld in (REMOVE_TOP_LAYER, hparam_action("resolution")):
-        with pytest.raises(MutationError):
-            apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD, withheld},
-                            "a", 4, rng, MODE_MUNET)
+
+
+def test_compute_factor_off_withholds_compute_actions(small_system):
+    root = root_of(small_system)
+    switch_compute_off(small_system)
+    rng = Rng(21, "off")
+    withheld = {REMOVE_TOP_LAYER, hparam_action("resolution")}
+    for action in withheld:
+        with pytest.raises(MutationError, match=action.key()):
+            apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD, action}, "a", 4, rng)
+    child = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD, clone_action(1)},
+                            "a", 4, rng)
+    assert set(child.mu) == set(possible_mutations(small_system, child))
+    assert not withheld & set(child.mu)
