@@ -1,17 +1,36 @@
 """Checkpointing: the whole system round-trips through a directory bit-exactly.
 
 Layout: a UTF-8 ``manifest`` text file (versioned, fixed line order, floats
-written with shortest round-trip repr) plus one ``blocks/<id>.bin`` per layer
-block. A block file is a little-endian u64 value count, the float32 parameter
-payload, another u64 count and the float32 optimizer payload. Random streams
-serialize as (seed, label, counter), so a resumed run continues the exact
-stream of the unbroken one.
+written with shortest round-trip repr) plus one append-only block pack,
+``blocks/a.pack`` or ``blocks/b.pack``. The pack is a run of block records:
+little-endian u64 block id, parameter count and optimizer count, then the
+float32 parameters and the float32 optimizer state. The manifest ends with a
+placement line, ``pack <name> <length>``, naming the pack and how many of its
+bytes belong to this manifest; a later record of an id supersedes an earlier
+one, and bytes past the length are ignored. Random streams serialize as
+(seed, label, counter), so a resumed run continues the exact stream of the
+unbroken one.
+
+A system remembers, per checkpoint path, the placement it last saved or
+loaded there (``SystemState.packs``: derived state, never persisted). While
+the manifest on disk is still the one that placement belongs to, a save
+appends only the blocks the pack lacks and those whose iteration had not
+ended at that save or load; a block is only ever written during the
+iteration that created it. Otherwise, or once superseded records outweigh
+live ones, the save writes every live block into a fresh pack under the
+other name. Either way the manifest is replaced in one rename after the pack
+is written, so a save stopped at any point leaves a checkpoint that loads as
+the old or the new system; what else it leaves, bytes past the placement
+length or a stray pack, the next save cuts or removes. ``checkpoint_digest``
+hashes what a load reads, so it depends on the system state only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +43,25 @@ from .search_space import (SearchSpace, SpaceError, format_axis_line, format_val
 from .system import LayerBlock, ModelSpec, SystemError_, SystemState
 
 FORMAT_VERSION = 1
+PACK_NAMES = ("a.pack", "b.pack")
+_RECORD_HEAD = struct.Struct("<QQQ")  # block id, parameter count, optimizer count
 
 
 class CheckpointError(ValueError):
     pass
+
+
+@dataclass
+class PackPlacement:
+    """What a system last saved to or loaded from one checkpoint path: the
+    pack, the length belonging to the manifest, the blocks whose records in
+    it are current, the iterations done then, and the manifest bytes."""
+
+    name: str
+    length: int
+    blocks: set[int]
+    iterations: int
+    manifest: bytes = b""
 
 
 def _opt(value) -> str:
@@ -83,66 +117,140 @@ def write_manifest(system: SystemState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_block_file(path: str, block: LayerBlock) -> None:
-    with open(path, "wb") as fh:
-        fh.write(np.array([block.params.size], dtype="<u8").tobytes())
-        fh.write(block.params.astype("<f4", copy=False).tobytes())
-        fh.write(np.array([block.opt.size], dtype="<u8").tobytes())
-        fh.write(block.opt.astype("<f4", copy=False).tobytes())
+def _record_size(block: LayerBlock) -> int:
+    return _RECORD_HEAD.size + 4 * (block.params.size + block.opt.size)
 
 
-def _read_block_file(path: str, block_id: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise CheckpointError(f"missing payload file for block {block_id}") from None
-    try:
-        n = int(np.frombuffer(blob[:8], dtype="<u8")[0])
-        m = int(np.frombuffer(blob[8 + 4 * n:16 + 4 * n], dtype="<u8")[0])
-    except (ValueError, IndexError):
-        raise CheckpointError(f"truncated payload file for block {block_id}") from None
-    if len(blob) != 16 + 4 * (n + m):
-        raise CheckpointError(f"payload file for block {block_id} has {len(blob)} bytes, "
-                              f"its counts need {16 + 4 * (n + m)}")
-    params = np.frombuffer(blob, "<f4", n, 8).astype(np.float32)
-    opt = np.frombuffer(blob, "<f4", m, 16 + 4 * n).astype(np.float32)
-    return params, opt
+def _record(block: LayerBlock) -> bytes:
+    return b"".join((_RECORD_HEAD.pack(block.id, block.params.size, block.opt.size),
+                     block.params.astype("<f4", copy=False).tobytes(),
+                     block.opt.astype("<f4", copy=False).tobytes()))
+
+
+def _extend(placement: PackPlacement,
+            system: SystemState) -> tuple[PackPlacement, list[LayerBlock]]:
+    """The placement after appending every live block that the pack lacks or
+    whose iteration had not ended when ``placement`` was made, and those
+    blocks in id order."""
+    added = [block for bid, block in system.blocks.items()
+             if bid not in placement.blocks or block.generation_tag >= placement.iterations]
+    length = placement.length + sum(_record_size(block) for block in added)
+    return PackPlacement(placement.name, length, set(system.blocks),
+                         system.iterations_done), added
+
+
+def _split_placement(text: str) -> tuple[str, str, int]:
+    """The manifest as ``write_manifest`` made it, and the pack name and
+    length that its last line gives."""
+    body, _, last = text.rstrip("\n").rpartition("\n")
+    fields = last.split()
+    if (len(fields) != 3 or fields[0] != "pack" or fields[1] not in PACK_NAMES
+            or not fields[2].isdecimal()):
+        raise CheckpointError("manifest does not end with a 'pack <name> <length>' line; "
+                              "one file per block is an older layout this reader rejects")
+    return body + "\n", fields[1], int(fields[2])
 
 
 def save_checkpoint(system: SystemState, path: str) -> None:
-    """Write the system to ``path``; stale block payloads are removed so the
-    directory is a pure function of the system state.
+    """Write the system to ``path``, appending to its block pack when it can.
 
-    The new manifest replaces the old one in a single rename, after every
-    block file it references is written and before any block file the old
-    one references is removed, so a save stopped at any point leaves a
-    checkpoint that loads as either the old or the new system."""
+    The pack is appended to when the manifest on disk is the one this system
+    last saved or loaded at ``path``. The pack is first cut back to the
+    length that manifest's placement line gives, which drops whatever a
+    stopped save appended. Otherwise, or when superseded records would
+    outweigh live ones, every live block goes into a fresh pack under the
+    name the manifest on disk does not use. The new manifest, ending in the
+    new placement line, replaces the old one in a single rename after the
+    pack is written, and only then is every other file under ``blocks/``
+    removed. A save stopped at any point therefore leaves a checkpoint that
+    loads as either the old or the new system, plus at most bytes past the
+    placement length or a stray pack, which the next save cuts or removes.
+    What a load reads, and so ``checkpoint_digest``, depends on the system
+    state only, not on the saves that made the directory."""
     blocks_dir = os.path.join(path, "blocks")
     os.makedirs(blocks_dir, exist_ok=True)
-    for bid, block in system.blocks.items():
-        _write_block_file(os.path.join(blocks_dir, f"{bid}.bin"), block)
+    manifest_path = os.path.join(path, "manifest")
+    try:
+        with open(manifest_path, "rb") as fh:
+            on_disk = fh.read()
+    except FileNotFoundError:
+        on_disk = b""
+    old = system.packs.get(os.path.abspath(path))
+    append = old is not None and old.manifest == on_disk
+    if append:
+        placement, added = _extend(old, system)
+        # a fresh pack once superseded records would outweigh live ones
+        append = placement.length <= 2 * sum(map(_record_size, system.blocks.values()))
+    if not append:
+        try:
+            in_use = _split_placement(on_disk.decode("utf-8"))[1]
+        except ValueError:  # no manifest yet, or not one this reader takes
+            in_use = None
+        fresh = PackPlacement(PACK_NAMES[in_use == PACK_NAMES[0]], 0, set(), 0)
+        placement, added = _extend(fresh, system)
+
+    pack_path = os.path.join(blocks_dir, placement.name)
+    if append:
+        os.truncate(pack_path, old.length)
+    with open(pack_path, "ab" if append else "wb") as fh:
+        for block in added:
+            fh.write(_record(block))
+    placement.manifest = (write_manifest(system)
+                          + f"pack {placement.name} {placement.length}\n").encode("utf-8")
     manifest_tmp = os.path.join(path, "manifest.tmp")
-    with open(manifest_tmp, "w", encoding="utf-8") as fh:
-        fh.write(write_manifest(system))
-    os.replace(manifest_tmp, os.path.join(path, "manifest"))
-    wanted = {f"{bid}.bin" for bid in system.blocks}
+    with open(manifest_tmp, "wb") as fh:
+        fh.write(placement.manifest)
+    os.replace(manifest_tmp, manifest_path)
+    system.packs[os.path.abspath(path)] = placement
     for entry in os.listdir(blocks_dir):
-        if entry not in wanted:
+        if entry != placement.name:
             os.remove(os.path.join(blocks_dir, entry))
 
 
-def load_checkpoint(path: str) -> SystemState:
-    manifest_path = os.path.join(path, "manifest")
+def _read_pack(path: str, name: str, length: int,
+               listed: list[int]) -> tuple[bytes, dict[int, tuple[int, int]]]:
+    """Read the pack's first ``length`` bytes once; return them and each
+    listed block's last record in them as (offset, size)."""
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(os.path.join(path, "blocks", name), "rb") as fh:
+            blob = fh.read(length)
+    except FileNotFoundError:
+        raise CheckpointError(f"missing block pack {name} under {path}") from None
+    found, offset = {}, 0
+    while offset + _RECORD_HEAD.size <= len(blob):
+        bid, n, m = _RECORD_HEAD.unpack_from(blob, offset)
+        size = _RECORD_HEAD.size + 4 * (n + m)
+        if offset + size > len(blob):
+            break
+        found[bid] = (offset, size)
+        offset += size
+    for bid in listed:
+        if bid not in found:
+            raise CheckpointError(f"block {bid} has no complete record in pack {name} "
+                                  f"({len(blob)} of its {length} bytes read)")
+    if offset != length:
+        raise CheckpointError(f"pack {name} has {len(blob)} of its {length} bytes, "
+                              f"{offset} of them in whole records")
+    return blob, {bid: found[bid] for bid in listed}
+
+
+def _read_manifest(path: str) -> bytes:
+    try:
+        with open(os.path.join(path, "manifest"), "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"no manifest under {path}") from None
-    lines = text.splitlines() or [""]
-    if lines[0] != f"evograft-checkpoint {FORMAT_VERSION}":
-        raise CheckpointError(f"unsupported manifest header {lines[0]!r}: "
+
+
+def load_checkpoint(path: str) -> SystemState:
+    raw = _read_manifest(path)
+    text = raw.decode("utf-8")
+    header = (text.splitlines() or [""])[0]
+    if header != f"evograft-checkpoint {FORMAT_VERSION}":
+        raise CheckpointError(f"unsupported manifest header {header!r}: "
                               f"this reader takes version {FORMAT_VERSION}")
+    body, pack_name, pack_length = _split_placement(text)
+    lines = body.splitlines()
 
     rng = None
     score = None
@@ -181,6 +289,9 @@ def load_checkpoint(path: str) -> SystemState:
             elif key == "counters":
                 counters = {k: int(v) for k, v in
                             (tok.split("=", 1) for tok in rest.split())}
+                for name, value in counters.items():
+                    if value < 0:
+                        raise CheckpointError(f"counter {name}= is negative: {value}")
             elif key == "axis":
                 axes.append(parse_axis_line(rest))
             elif key == "task":
@@ -229,6 +340,8 @@ def load_checkpoint(path: str) -> SystemState:
                 model_entry(int(mid))["mu"] = mu
             elif key == "selection":
                 mid, task, count = rest.split()
+                if int(count) < 0:
+                    raise CheckpointError(f"selection {mid} {task} has a negative count {count}")
                 selection[(int(mid), task)] = int(count)
             elif key == "evertrain":
                 ever_trainable.add(int(rest))
@@ -271,9 +384,13 @@ def load_checkpoint(path: str) -> SystemState:
         raise CheckpointError("created= counter disagrees with models= counter")
     system.iterations_done = counters.get("iterations", 0)
 
-    blocks_dir = os.path.join(path, "blocks")
+    blob, spans = _read_pack(path, pack_name, pack_length, [meta[0] for meta in block_meta])
     for bid, kind, d_in, d_out, created_by, gen in block_meta:
-        params, opt = _read_block_file(os.path.join(blocks_dir, f"{bid}.bin"), bid)
+        offset, _ = spans[bid]
+        _, n, m = _RECORD_HEAD.unpack_from(blob, offset)
+        offset += _RECORD_HEAD.size
+        params = np.frombuffer(blob, "<f4", n, offset).astype(np.float32)
+        opt = np.frombuffer(blob, "<f4", m, offset + 4 * n).astype(np.float32)
         try:
             system.blocks[bid] = LayerBlock(bid, kind, d_in, d_out, params, opt,
                                             created_by, gen)
@@ -296,20 +413,23 @@ def load_checkpoint(path: str) -> SystemState:
                                     ("models", system.next_model_id, system.models)):
         if registry and counter <= max(registry):
             raise CheckpointError(f"{name}={counter} is not above listed id {max(registry)}")
+    system.packs[os.path.abspath(path)] = PackPlacement(
+        pack_name, pack_length, set(system.blocks), system.iterations_done, raw)
     return system
 
 
 def checkpoint_digest(path: str) -> str:
-    """SHA-256 over the manifest and every block payload, in sorted order."""
-    digest = hashlib.sha256()
-    with open(os.path.join(path, "manifest"), "rb") as fh:
-        digest.update(fh.read())
-    blocks_dir = os.path.join(path, "blocks")
-    if os.path.isdir(blocks_dir):
-        for entry in sorted(os.listdir(blocks_dir)):
-            digest.update(entry.encode())
-            with open(os.path.join(blocks_dir, entry), "rb") as fh:
-                digest.update(fh.read())
+    """SHA-256 over what a load reads: the manifest without its placement
+    line, then each listed block's record in id order. It depends on the
+    system state only, not on the saves that made the directory."""
+    body, name, length = _split_placement(_read_manifest(path).decode("utf-8"))
+    listed = [int(line.split()[1]) for line in body.splitlines()
+              if line.startswith("block ")]
+    blob, spans = _read_pack(path, name, length, listed)
+    digest = hashlib.sha256(body.encode("utf-8"))
+    for bid in listed:
+        offset, size = spans[bid]
+        digest.update(blob[offset:offset + size])
     return digest.hexdigest()
 
 

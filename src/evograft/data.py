@@ -14,6 +14,7 @@ cross-task transfer genuinely helps.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -209,6 +210,8 @@ class TaskGenSpec:
         for key in _TASK_COUNTS:
             if getattr(self, key) < 1:
                 raise DatasetError(f"{key}= must be at least 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise DatasetError(f"noise= must be a finite number of at least 0, got {self.noise}")
 
 
 @dataclass

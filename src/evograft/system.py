@@ -27,6 +27,7 @@ from .rng import Rng
 from .search_space import RESOLUTION_AXIS, SearchSpace
 
 if TYPE_CHECKING:
+    from .checkpoint import PackPlacement
     from .scoring import ScoreParams
 
 EMBEDDING = "embedding"
@@ -125,6 +126,9 @@ class SystemState:
         self.next_block_id = 0
         self.next_model_id = 0
         self.iterations_done = 0
+        # checkpoint path -> the pack placement last saved or loaded there;
+        # derived state, never persisted
+        self.packs: dict[str, "PackPlacement"] = {}
 
     # -- block and model lifecycle -------------------------------------------
 

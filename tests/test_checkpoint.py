@@ -1,5 +1,6 @@
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -69,17 +70,36 @@ def test_rng_resumes_mid_stream(tmp_path):
     assert [other.rng.uniform() for _ in range(3)] == upcoming
 
 
-def test_truncated_block_file_names_the_block(tmp_path):
+def placement(path):
+    """The pack a checkpoint's manifest names, and the length it gives."""
+    key, name, length = (path / "manifest").read_text().splitlines()[-1].split()
+    assert key == "pack"
+    return path / "blocks" / name, int(length)
+
+
+def record(block):
+    """A block's record in the pack: u64 id, parameter count and optimizer
+    count, then both float32 payloads."""
+    return (struct.pack("<QQQ", block.id, block.params.size, block.opt.size)
+            + block.params.astype("<f4").tobytes() + block.opt.astype("<f4").tobytes())
+
+
+def test_truncated_pack_names_the_block(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
-    victim = sorted(system.blocks)[0]
-    path = tmp_path / "blocks" / f"{victim}.bin"
-    blob = path.read_bytes()
-    for corrupt in (blob[:10], blob + b"\0\0\0\0"):
-        path.write_bytes(corrupt)
-        with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
-            load_checkpoint(str(tmp_path))
-    path.write_bytes(blob)
+    digest = checkpoint_digest(str(tmp_path))
+    pack, length = placement(tmp_path)
+    blob = pack.read_bytes()
+    assert blob == b"".join(record(b) for b in system.blocks.values())
+    assert len(blob) == length
+    pack.write_bytes(blob + b"bytes past the placement length")
+    assert system_digest(load_checkpoint(str(tmp_path))) == system_digest(system)
+    assert checkpoint_digest(str(tmp_path)) == digest
+    victim = max(system.blocks)  # a fresh pack holds its records in id order
+    pack.write_bytes(blob[:-4])
+    with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
+        load_checkpoint(str(tmp_path))
+    pack.write_bytes(blob)
     manifest = tmp_path / "manifest"
     b = system.blocks[victim]
     line = f"block {victim} {b.kind} {b.d_in} {b.d_out} "
@@ -90,13 +110,33 @@ def test_truncated_block_file_names_the_block(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
-def test_missing_block_file_names_the_block(tmp_path):
+def test_missing_block_record_names_the_block(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
-    victim = sorted(system.blocks)[-1]
-    os.remove(tmp_path / "blocks" / f"{victim}.bin")
-    with pytest.raises(CheckpointError, match=str(victim)):
+    pack, _ = placement(tmp_path)
+    blob = pack.read_bytes()
+    victim = sorted(system.blocks)[1]
+    offset = blob.index(record(system.blocks[victim]))
+    pack.write_bytes(blob[:offset] + struct.pack("<Q", 10 ** 9) + blob[offset + 8:])
+    with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
         load_checkpoint(str(tmp_path))
+    os.remove(pack)
+    with pytest.raises(CheckpointError, match=pack.name):
+        load_checkpoint(str(tmp_path))
+
+
+def test_old_layout_is_rejected_in_one_line(tmp_path):
+    system = evolved_system()
+    (tmp_path / "blocks").mkdir()
+    for bid in system.blocks:
+        (tmp_path / "blocks" / f"{bid}.bin").write_bytes(b"\0" * 16)
+    (tmp_path / "manifest").write_text(checkpoint.write_manifest(system))
+    assert checkpoint.FORMAT_VERSION == 1
+    with pytest.raises(CheckpointError, match="pack") as err:
+        load_checkpoint(str(tmp_path))
+    assert "\n" not in str(err.value)
+    with pytest.raises(CheckpointError, match="pack"):
+        checkpoint_digest(str(tmp_path))
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -113,8 +153,9 @@ def test_corrupt_manifest_line_rejected(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
     manifest = tmp_path / "manifest"
-    manifest.write_text(manifest.read_text() + "blurb nonsense\n")
-    with pytest.raises(CheckpointError):
+    *body, pack = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(body) + "blurb nonsense\n" + pack)
+    with pytest.raises(CheckpointError, match="blurb"):
         load_checkpoint(str(tmp_path))
     with pytest.raises(CheckpointError):
         load_checkpoint(str(tmp_path / "missing"))
@@ -193,6 +234,21 @@ def test_manifest_values_outside_their_domain_are_rejected(tmp_path):
             load_checkpoint(str(tmp_path))
 
 
+def test_negative_counts_are_rejected(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    selection = next(line for line in text.splitlines() if line.startswith("selection "))
+    for old, new, reason in (
+            (f" iterations={system.iterations_done}\n", " iterations=-5\n", "iterations="),
+            (selection + "\n", " ".join(selection.split()[:3] + ["-3"]) + "\n", "selection")):
+        assert text.count(old) == 1
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=f"{reason}.*negative"):
+            load_checkpoint(str(tmp_path))
+
+
 def test_load_rejects_a_model_that_does_not_validate(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
@@ -237,63 +293,180 @@ def test_identical_seeds_give_identical_digests():
 def test_stale_block_payloads_are_removed(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
-    junk = tmp_path / "blocks" / "9999.bin"
-    junk.write_bytes(b"junk")
+    pack, _ = placement(tmp_path)
+    stray = [tmp_path / "blocks" / "9999.bin", tmp_path / "blocks" / "b.pack"]
+    for junk in stray:
+        junk.write_bytes(b"junk")
     save_checkpoint(system, str(tmp_path))
-    assert not junk.exists()
+    assert os.listdir(tmp_path / "blocks") == [pack.name]
+
+
+def grow(system, top_k=1):
+    """Commit one child of the first ``t`` model that clones its ``top_k``
+    top layers and gets a new head."""
+    parent = system.models_for("t")[0]
+    child = apply_mutations(system, parent, finetune_top_actions(parent, top_k), "t",
+                            make_dataset("t", seed=60).num_classes, system.rng)
+    system.commit_model(child)
+    return child
+
+
+def test_save_after_load_and_run_matches_a_fresh_save(tmp_path):
+    ckpt, fresh = tmp_path / "ckpt", tmp_path / "fresh"
+    save_checkpoint(evolved_system(), str(ckpt))
+    before = placement(ckpt)[0].read_bytes()
+    resumed = load_checkpoint(str(ckpt))
+    ds = make_dataset("t", seed=60)
+    run_task_iteration(resumed, "t", ds, quick_config(), resumed.rng)
+    save_checkpoint(resumed, str(ckpt))
+    save_checkpoint(resumed, str(fresh))
+    pack, _ = placement(ckpt)
+    assert os.listdir(ckpt / "blocks") == [pack.name]
+    assert pack.read_bytes().startswith(before)
+    assert checkpoint_digest(str(ckpt)) == checkpoint_digest(str(fresh))
+    assert system_digest(load_checkpoint(str(ckpt))) == system_digest(resumed)
+
+
+def test_save_appends_only_what_may_have_changed(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    pack, length = placement(tmp_path)
+    blob = pack.read_bytes()
+    save_checkpoint(system, str(tmp_path))
+    assert placement(tmp_path) == (pack, length) and pack.read_bytes() == blob
+
+    appended = 0
+    for _ in range(4):
+        known, blob = set(system.blocks), pack.read_bytes()
+        run_task_iteration(system, "t", make_dataset("t", seed=60), quick_config(),
+                           system.rng)
+        save_checkpoint(system, str(tmp_path))
+        new = [b for bid, b in system.blocks.items() if bid not in known]
+        assert pack.read_bytes() == blob + b"".join(record(b) for b in new)
+        assert placement(tmp_path) == (pack, len(pack.read_bytes()))
+        appended += len(new)
+    assert appended, "some iteration must retain a child"
+
+    # A block saved before its iteration ends is saved again once the
+    # iteration has trained it.
+    child = grow(system)
+    save_checkpoint(system, str(tmp_path))
+    trained = system.blocks[child.trainable_ids()[0]]
+    trained.params += 1.0
+    system.iterations_done += 1
+    save_checkpoint(system, str(tmp_path))
+    assert system_digest(load_checkpoint(str(tmp_path))) == system_digest(system)
+
+
+def test_pack_is_rewritten_once_dead_bytes_outweigh_live_ones(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    first, _ = placement(tmp_path)
+    for _ in range(10):
+        child = grow(system, top_k=3)
+        save_checkpoint(system, str(tmp_path))
+        system.discard_model(child)
+        save_checkpoint(system, str(tmp_path))
+        pack, length = placement(tmp_path)
+        live = sum(len(record(b)) for b in system.blocks.values())
+        if pack != first:
+            break
+        assert length - live <= live
+    assert pack != first and length == live
+    assert os.listdir(tmp_path / "blocks") == [pack.name]
+    assert system_digest(load_checkpoint(str(tmp_path))) == system_digest(system)
+
+
+def test_systems_saving_alternately_to_one_path_stay_loadable(tmp_path):
+    def root_only(seed):
+        system = bootstrap_system(load_builtin_space("desk"), seed=seed, width=8,
+                                  depth=3, patch=8, channels=3)
+        system.iterations_done = 1  # as after an iteration that kept no child
+        return system
+
+    a, b, c = root_only(1), evolved_system(), root_only(2)
+    path = str(tmp_path)
+
+    def save_and_check(system):
+        save_checkpoint(system, path)
+        assert system_digest(load_checkpoint(path)) == system_digest(system)
+        pack, _ = placement(tmp_path)
+        assert os.listdir(tmp_path / "blocks") == [pack.name]
+        return placement(tmp_path)
+
+    first = save_and_check(a)
+    assert save_and_check(b)[0] != first[0]
+    # c lands in the pack a saved to, at the same length, so the placement
+    # line alone cannot tell a that its record is stale.
+    assert save_and_check(c) == first
+    save_and_check(a)
+    save_and_check(b)
+    grow(b)
+    save_and_check(b)
+    save_and_check(c)
 
 
 class Killed(Exception):
     pass
 
 
+TRIPWIRES = ((checkpoint, "_record"), (checkpoint.os, "truncate"),
+             (checkpoint.os, "replace"), (checkpoint.os, "remove"))
+
+
 def save_killed_at(system, path, monkeypatch, step):
-    """Save, but stop in place of the ``step``-th block write, manifest
-    rename or file removal; return whether the save was stopped."""
+    """Save, but stop in place of the ``step``-th record write, pack
+    truncation, manifest rename or file removal; return the name of the call
+    stopped, or None if the save finished."""
     calls = 0
 
-    def tripwire(fn):
+    def tripwire(name, fn):
         def wrapper(*args, **kwargs):
             nonlocal calls
             calls += 1
             if calls == step:
-                raise Killed
+                raise Killed(name)
             return fn(*args, **kwargs)
         return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(checkpoint, "_write_block_file", tripwire(checkpoint._write_block_file))
-        m.setattr(checkpoint.os, "replace", tripwire(os.replace))
-        m.setattr(checkpoint.os, "remove", tripwire(os.remove))
+        for owner, name in TRIPWIRES:
+            m.setattr(owner, name, tripwire(name, getattr(owner, name)))
         try:
             save_checkpoint(system, path)
-        except Killed:
-            return True
-    return False
+        except Killed as stop:
+            return stop.args[0]
+    return None
 
 
 def test_save_stopped_at_any_step_still_loads(tmp_path, monkeypatch):
-    system = evolved_system()
-    parent = system.models_for("t")[0]
-    child = apply_mutations(system, parent, finetune_top_actions(parent, 1), "t",
-                            make_dataset("t", seed=60).num_classes, system.rng)
-    system.commit_model(child)
-    old_digest, old_blocks = system_digest(system), set(system.blocks)
-    template = str(tmp_path / "old")
-    save_checkpoint(system, template)
-    system.discard_model(child)
-    new_digest = system_digest(system)
-    assert old_blocks - set(system.blocks), "the discard must leave stale block files"
+    template = tmp_path / "old"
+    save_checkpoint(evolved_system(), str(template))
+    old_digest = system_digest(load_checkpoint(str(template)))
+    grown = load_checkpoint(str(template))
+    grow(grown)
+    new_digest = system_digest(grown)
 
-    step = 1
-    while True:
-        path = str(tmp_path / f"step{step}")
-        shutil.copytree(template, path)
-        stopped = save_killed_at(system, path, monkeypatch, step)
-        loaded = system_digest(load_checkpoint(path))
-        if not stopped:
-            assert loaded == new_digest
-            break
-        assert loaded in (old_digest, new_digest), f"save stopped at step {step}"
-        step += 1
-    assert step > len(system.blocks) + 1
+    # A system loaded from the directory appends to its pack; one loaded from
+    # elsewhere writes a fresh pack and then removes the old one.
+    for source, calls in (("own", {"truncate", "_record", "replace"}),
+                          ("other", {"_record", "replace", "remove"})):
+        stopped_at = set()
+        step = 1
+        while True:
+            path = str(tmp_path / f"{source}{step}")
+            shutil.copytree(template, path)
+            system = load_checkpoint(path if source == "own" else str(template))
+            grow(system)
+            stopped = save_killed_at(system, path, monkeypatch, step)
+            loaded = system_digest(load_checkpoint(path))
+            if stopped is None:
+                assert loaded == new_digest
+                break
+            assert loaded in (old_digest, new_digest), f"{source} save stopped at step {step}"
+            save_checkpoint(system, path)
+            assert system_digest(load_checkpoint(path)) == new_digest
+            assert len(os.listdir(os.path.join(path, "blocks"))) == 1
+            stopped_at.add(stopped)
+            step += 1
+        assert stopped_at == calls, source

@@ -145,6 +145,15 @@ def test_gen_spec_values_are_checked_where_the_spec_is_built():
                 TaskGenSpec(**{"name": "a", "classes": 4, field: value})
 
 
+def test_gen_spec_noise_must_be_finite_and_not_negative():
+    for value in ("nan", "-0.5", "inf", "-inf"):
+        with pytest.raises(DatasetError, match="^line 2: noise= must be a finite number"):
+            parse_gen_spec(f"task a\ntask b noise={value}\n")
+        with pytest.raises(DatasetError, match="noise= must be a finite number"):
+            TaskGenSpec("a", 4, noise=float(value))
+    assert TaskGenSpec("a", 4, noise=0.0).noise == 0.0
+
+
 def test_bilinear_resize_properties():
     rng = np.random.default_rng(0)
     image = rng.uniform(0.2, 0.8, size=(6, 6, 3))
