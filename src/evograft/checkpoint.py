@@ -1,28 +1,27 @@
 """Checkpointing: the whole system round-trips through a directory bit-exactly.
 
-Layout: a UTF-8 ``manifest`` text file (versioned, fixed line order, floats
-written with shortest round-trip repr) plus one append-only block pack,
-``blocks/a.pack`` or ``blocks/b.pack``. The pack is a run of block records:
-little-endian u64 block id, parameter count and optimizer count, then the
-float32 parameters and the float32 optimizer state. The manifest ends with a
-placement line, ``pack <name> <length>``, naming the pack and how many of its
-bytes belong to this manifest; a later record of an id supersedes an earlier
-one, and bytes past the length are ignored. Random streams serialize as
-(seed, label, counter), so a resumed run continues the exact stream of the
-unbroken one.
+Layout: a UTF-8 ``manifest`` text file (versioned, floats written with
+shortest round-trip repr) plus one append-only block pack, ``blocks/a.pack``
+or ``blocks/b.pack``, a run of block records: little-endian u64 block id,
+parameter count and optimizer count, then the float32 parameters and the
+float32 optimizer state. The manifest's last line, ``pack <name> <length>``,
+names the pack and how many of its bytes belong to this manifest; a later
+record of an id supersedes an earlier one, and bytes past the length are
+ignored. Random streams serialize as (seed, label, counter), so a resumed run
+continues the exact stream of the unbroken one. A load takes the manifest's
+lines only in the order ``write_manifest`` writes them, so it rejects a
+repeated singleton line, and ``checkpoint_digest`` hashes what a load reads.
 
 A system remembers, per checkpoint path, the placement it last saved or
 loaded there (``SystemState.packs``: derived state, never persisted). While
-the manifest on disk is still the one that placement belongs to, a save
-appends only the blocks the pack lacks and those whose iteration had not
-ended at that save or load; a block is only ever written during the
-iteration that created it. Otherwise, or once superseded records outweigh
-live ones, the save writes every live block into a fresh pack under the
+the manifest on disk is still that one, a save appends every block whose
+iteration had not ended at that save or load, which covers every block the
+pack lacks, as ids and generation tags only grow. Otherwise, or once
+superseded records outweigh live ones, it writes a fresh pack under the
 other name. Either way the manifest is replaced in one rename after the pack
 is written, so a save stopped at any point leaves a checkpoint that loads as
-the old or the new system; what else it leaves, bytes past the placement
-length or a stray pack, the next save cuts or removes. ``checkpoint_digest``
-hashes what a load reads, so it depends on the system state only.
+the old or the new system, plus at most bytes past the placement length or a
+stray pack, which the next save cuts or removes.
 """
 
 from __future__ import annotations
@@ -54,22 +53,14 @@ class CheckpointError(ValueError):
 @dataclass
 class PackPlacement:
     """What a system last saved to or loaded from one checkpoint path: the
-    pack, the length belonging to the manifest, the blocks whose records in
-    it are current, the iterations done then, and the manifest bytes."""
+    pack, the length belonging to the manifest, the iterations done then, and
+    the manifest bytes. The pack holds every block the system had then, so
+    each block it lacks has a generation tag at or above ``iterations``."""
 
     name: str
     length: int
-    blocks: set[int]
     iterations: int
     manifest: bytes = b""
-
-
-def _opt(value) -> str:
-    return "-" if value is None else repr(value)
-
-
-def _parse_opt(token: str):
-    return None if token == "-" else float(token)
 
 
 def write_manifest(system: SystemState) -> str:
@@ -83,15 +74,17 @@ def write_manifest(system: SystemState) -> str:
                  f"created={system.next_model_id} iterations={system.iterations_done}")
     for axis in system.space.axes.values():
         lines.append(f"axis {format_axis_line(axis)}")
-    for name in sorted(system.task_paths):
-        lines.append(f"task {name} {system.task_paths[name]}")
+    for name, task_path in sorted(system.task_paths.items()):
+        if task_path.splitlines() != [task_path]:
+            raise CheckpointError(f"task {name!r} has a path that is not one line: {task_path!r}")
+        lines.append(f"task {name} {task_path}")
     for b in system.blocks.values():
         lines.append(f"block {b.id} {b.kind} {b.d_in} {b.d_out} "
                      f"{b.created_by_task} {b.generation_tag}")
     for m in system.models.values():
         parent = "-" if m.parent_id is None else str(m.parent_id)
-        lines.append(f"model {m.id} {m.task} {parent} {m.id} "
-                     f"{_opt(m.quality)} {_opt(m.score_snapshot)}")
+        quality, snap = ("-" if v is None else repr(v) for v in (m.quality, m.score_snapshot))
+        lines.append(f"model {m.id} {m.task} {parent} {m.id} {quality} {snap}")
         layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
         lines.append(f"layers {m.id} {layers}")
         hparams = ";".join(f"{axis}={format_value(m.hparams[axis])}"
@@ -111,8 +104,7 @@ def write_manifest(system: SystemState) -> str:
         lines.append(f"history {snap.index} {snap.segment or '-'} {snap.task or '-'} "
                      f"{snap.mean_test_accuracy!r} {snap.mean_accounted_params!r} "
                      f"{snap.mean_inference_flops!r}")
-        for task in sorted(snap.per_task):
-            acc, params, flops = snap.per_task[task]
+        for task, (acc, params, flops) in sorted(snap.per_task.items()):
             lines.append(f"historytask {snap.index} {task} {acc!r} {params!r} {flops!r}")
     return "\n".join(lines) + "\n"
 
@@ -129,14 +121,13 @@ def _record(block: LayerBlock) -> bytes:
 
 def _extend(placement: PackPlacement,
             system: SystemState) -> tuple[PackPlacement, list[LayerBlock]]:
-    """The placement after appending every live block that the pack lacks or
-    whose iteration had not ended when ``placement`` was made, and those
-    blocks in id order."""
-    added = [block for bid, block in system.blocks.items()
-             if bid not in placement.blocks or block.generation_tag >= placement.iterations]
+    """The placement after appending every live block whose iteration had not
+    ended when ``placement`` was made, and those blocks in id order. That
+    includes every block made since, as ids and generation tags only grow."""
+    added = [block for block in system.blocks.values()
+             if block.generation_tag >= placement.iterations]
     length = placement.length + sum(_record_size(block) for block in added)
-    return PackPlacement(placement.name, length, set(system.blocks),
-                         system.iterations_done), added
+    return PackPlacement(placement.name, length, system.iterations_done), added
 
 
 def _split_placement(text: str) -> tuple[str, str, int]:
@@ -152,21 +143,13 @@ def _split_placement(text: str) -> tuple[str, str, int]:
 
 
 def save_checkpoint(system: SystemState, path: str) -> None:
-    """Write the system to ``path``, appending to its block pack when it can.
-
-    The pack is appended to when the manifest on disk is the one this system
-    last saved or loaded at ``path``. The pack is first cut back to the
-    length that manifest's placement line gives, which drops whatever a
-    stopped save appended. Otherwise, or when superseded records would
-    outweigh live ones, every live block goes into a fresh pack under the
-    name the manifest on disk does not use. The new manifest, ending in the
-    new placement line, replaces the old one in a single rename after the
-    pack is written, and only then is every other file under ``blocks/``
-    removed. A save stopped at any point therefore leaves a checkpoint that
-    loads as either the old or the new system, plus at most bytes past the
-    placement length or a stray pack, which the next save cuts or removes.
-    What a load reads, and so ``checkpoint_digest``, depends on the system
-    state only, not on the saves that made the directory."""
+    """Write the system to ``path``. When the manifest on disk is the one this
+    system last saved or loaded there, cut the pack back to that manifest's
+    length and append every block whose iteration had not ended at that save
+    or load; otherwise write a fresh pack under the other name. Then replace
+    the manifest in one rename, and only then remove every other file under
+    ``blocks/``. A task path that is not one line fails before any write."""
+    text = write_manifest(system)
     blocks_dir = os.path.join(path, "blocks")
     os.makedirs(blocks_dir, exist_ok=True)
     manifest_path = os.path.join(path, "manifest")
@@ -186,7 +169,7 @@ def save_checkpoint(system: SystemState, path: str) -> None:
             in_use = _split_placement(on_disk.decode("utf-8"))[1]
         except ValueError:  # no manifest yet, or not one this reader takes
             in_use = None
-        fresh = PackPlacement(PACK_NAMES[in_use == PACK_NAMES[0]], 0, set(), 0)
+        fresh = PackPlacement(PACK_NAMES[in_use == PACK_NAMES[0]], 0, 0)
         placement, added = _extend(fresh, system)
 
     pack_path = os.path.join(blocks_dir, placement.name)
@@ -195,8 +178,7 @@ def save_checkpoint(system: SystemState, path: str) -> None:
     with open(pack_path, "ab" if append else "wb") as fh:
         for block in added:
             fh.write(_record(block))
-    placement.manifest = (write_manifest(system)
-                          + f"pack {placement.name} {placement.length}\n").encode("utf-8")
+    placement.manifest = (text + f"pack {placement.name} {placement.length}\n").encode("utf-8")
     manifest_tmp = os.path.join(path, "manifest.tmp")
     with open(manifest_tmp, "wb") as fh:
         fh.write(placement.manifest)
@@ -207,229 +189,185 @@ def save_checkpoint(system: SystemState, path: str) -> None:
             os.remove(os.path.join(blocks_dir, entry))
 
 
-def _read_pack(path: str, name: str, length: int,
-               listed: list[int]) -> tuple[bytes, dict[int, tuple[int, int]]]:
-    """Read the pack's first ``length`` bytes once; return them and each
-    listed block's last record in them as (offset, size)."""
+def _read_pack(path: str, name: str, length: int) -> tuple[dict, int]:
+    """Read the pack's first ``length`` bytes once; return each id's last
+    whole record in them as (parameters, optimizer state) views, and how many
+    of the bytes whole records fill."""
     try:
         with open(os.path.join(path, "blocks", name), "rb") as fh:
             blob = fh.read(length)
     except FileNotFoundError:
         raise CheckpointError(f"missing block pack {name} under {path}") from None
-    found, offset = {}, 0
+    records, offset = {}, 0
     while offset + _RECORD_HEAD.size <= len(blob):
         bid, n, m = _RECORD_HEAD.unpack_from(blob, offset)
-        size = _RECORD_HEAD.size + 4 * (n + m)
-        if offset + size > len(blob):
+        start = offset + _RECORD_HEAD.size
+        if start + 4 * (n + m) > len(blob):
             break
-        found[bid] = (offset, size)
-        offset += size
-    for bid in listed:
-        if bid not in found:
-            raise CheckpointError(f"block {bid} has no complete record in pack {name} "
-                                  f"({len(blob)} of its {length} bytes read)")
-    if offset != length:
-        raise CheckpointError(f"pack {name} has {len(blob)} of its {length} bytes, "
-                              f"{offset} of them in whole records")
-    return blob, {bid: found[bid] for bid in listed}
+        records[bid] = (np.frombuffer(blob, "<f4", n, start),
+                        np.frombuffer(blob, "<f4", m, start + 4 * n))
+        offset = start + 4 * (n + m)
+    return records, offset
 
 
-def _read_manifest(path: str) -> bytes:
-    try:
-        with open(os.path.join(path, "manifest"), "rb") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise CheckpointError(f"no manifest under {path}") from None
+class _Lines:
+    """The manifest's lines, taken one at a time in the order
+    ``write_manifest`` writes them; ``number`` is the last one looked at."""
+
+    def __init__(self, text: str):
+        self.lines = [line.partition(" ")[::2] for line in text.splitlines()]
+        self.number = 1  # the header, checked before the pack is read
+
+    def key(self) -> str:
+        return self.lines[self.number][0]
+
+    def take(self, key: str, owner: str | None = None) -> str:
+        """The rest of the next line, which must be a ``key`` line; given an
+        ``owner``, the rest after its next word, which must be ``owner``."""
+        found, rest = self.lines[self.number]
+        self.number += 1
+        if found != key:
+            raise CheckpointError(f"expected a {key!r} line, found {found!r}")
+        if owner is not None:
+            named, _, rest = rest.partition(" ")
+            if named != owner:
+                raise CheckpointError(f"{key} {named} is out of place: expected {key} {owner}")
+        return rest
+
+    def each(self, key: str, owner: str | None = None):
+        """The rest of each next line while it is a ``key`` line."""
+        while self.key() == key:
+            yield self.take(key, owner)
+
+
+def _fields(rest: str, names: tuple[str, ...]) -> list[str]:
+    """The values of a line's ``name=value`` words, which must be ``names``
+    in that order."""
+    pairs = [word.partition("=") for word in rest.split()]
+    if [name for name, _, _ in pairs] != list(names):
+        raise CheckpointError("expected the fields " + " ".join(f"{n}=" for n in names))
+    return [value for _, _, value in pairs]
+
+
+def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
+    """The system the manifest lines describe, built as they are read."""
+    seed, label, counter = lines.take("rng").split()
+    rng = Rng(int(seed), label, int(counter))
+    s, P, F, size, compute = _fields(lines.take("score"), ("s", "P", "F", "size", "compute"))
+    if size != "1":
+        raise CheckpointError("size= must be 1: the size factor is always on")
+    if compute not in ("0", "1"):
+        raise CheckpointError(f"compute= must be 0 or 1, not {compute!r}")
+    score = ScoreParams(float(s), float(P), float(F), compute == "1")
+    names = ("blocks", "models", "created", "iterations")
+    counters = dict(zip(names, map(int, _fields(lines.take("counters"), names))))
+    for name, value in counters.items():
+        if value < 0:
+            raise CheckpointError(f"counter {name}= is negative: {value}")
+    if counters["created"] != counters["models"]:
+        raise CheckpointError("created= counter disagrees with models= counter")
+    system = SystemState(SearchSpace([parse_axis_line(rest) for rest in lines.each("axis")]),
+                         score, rng)
+    system.next_block_id, system.next_model_id, _, system.iterations_done = counters.values()
+    for rest in lines.each("task"):
+        name, task_path = rest.split(" ", 1)
+        system.task_paths[name] = task_path
+    for rest in lines.each("block"):
+        bid, kind, d_in, d_out, created_by, gen = rest.split()
+        if system.blocks and int(bid) <= next(reversed(system.blocks)):
+            raise CheckpointError(f"block {bid} is listed out of id order")
+        if int(bid) >= system.next_block_id:
+            raise CheckpointError(f"blocks={system.next_block_id} is not above listed id {bid}")
+        if int(bid) not in records:
+            raise CheckpointError(f"block {bid} has no whole record in pack {pack}")
+        params, opt = (array.astype(np.float32) for array in records[int(bid)])
+        system.blocks[int(bid)] = LayerBlock(int(bid), kind, int(d_in), int(d_out), params,
+                                             opt, created_by, int(gen))
+    for rest in lines.each("model"):
+        mid, task, parent, created, quality, snap = rest.split()
+        if int(created) != int(mid):
+            raise CheckpointError(f"model {mid} has creation index {created}, not its id")
+        if int(mid) >= system.next_model_id:
+            raise CheckpointError(f"models={system.next_model_id} is not above listed id {mid}")
+        layers = [(int(lid), bool(int(flag))) for lid, flag in
+                  (word.split(":") for word in lines.take("layers", mid).split(","))]
+        hparams = {axis: parse_value(value) for axis, value in
+                   (word.split("=", 1) for word in lines.take("hparams", mid).split(";"))}
+        mu = lines.take("mu", mid)
+        mu = {MutationAction.parse(action): float(value) for action, value in
+              (word.split("=", 1) for word in mu.split(";"))} if mu else {}
+        quality, snap = (None if word == "-" else float(word) for word in (quality, snap))
+        try:
+            system.commit_model(ModelSpec(int(mid), task, layers, hparams, mu,
+                                          None if parent == "-" else int(parent), quality, snap))
+        except (SystemError_, SpaceError) as exc:
+            raise CheckpointError(f"model {mid} does not validate: {exc}") from None
+    for rest in lines.each("selection"):
+        mid, task, count = rest.split()
+        if int(count) < 0:
+            raise CheckpointError(f"selection {mid} {task} has a negative count {count}")
+        system.selection_counts[(int(mid), task)] = int(count)
+    system.ever_trainable.update(int(rest) for rest in lines.each("evertrain"))
+    if lines.key() == "position":
+        seg, done = lines.take("position").split()
+        if int(done) < 0:
+            raise CheckpointError(f"position {seg} has a negative count {done}")
+        system.run_position = (seg, int(done))
+    for rest in lines.each("history"):
+        idx, seg, task, acc, params, flops = rest.split()
+        snap = MetricsSnapshot(int(idx), "" if seg == "-" else seg, "" if task == "-" else task,
+                               float(acc), float(params), float(flops))
+        for rest in lines.each("historytask", idx):
+            task, acc, params, flops = rest.split()
+            snap.per_task[task] = (float(acc), float(params), float(flops))
+        system.history.append(snap)
+    lines.take("pack")  # the placement line, read before the pack
+    if lines.number < len(lines.lines):
+        raise CheckpointError("the placement line is not the last line")
+    return system
 
 
 def load_checkpoint(path: str) -> SystemState:
-    raw = _read_manifest(path)
-    text = raw.decode("utf-8")
-    header = (text.splitlines() or [""])[0]
+    """The system saved at ``path``. The manifest is read once, a line at a
+    time in the order ``write_manifest`` writes it, and the system is built
+    as it is read; a line out of that order, a repeated singleton line or a
+    missing one is an error naming the manifest line."""
+    try:
+        with open(os.path.join(path, "manifest"), "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
+    except FileNotFoundError:
+        raise CheckpointError(f"no manifest under {path}") from None
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"manifest is not UTF-8: {exc}") from None
+    header = text.partition("\n")[0]
     if header != f"evograft-checkpoint {FORMAT_VERSION}":
         raise CheckpointError(f"unsupported manifest header {header!r}: "
                               f"this reader takes version {FORMAT_VERSION}")
-    body, pack_name, pack_length = _split_placement(text)
-    lines = body.splitlines()
-
-    rng = None
-    score = None
-    counters = {}
-    axes = []
-    task_paths = {}
-    block_meta = []
-    models: dict[int, dict] = {}
-    selection = {}
-    ever_trainable = set()
-    position = None
-    history: dict[int, MetricsSnapshot] = {}
-
-    def model_entry(mid: int) -> dict:
-        if mid not in models:
-            raise CheckpointError(f"manifest references undeclared model {mid}")
-        return models[mid]
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        key, _, rest = line.partition(" ")
-        try:
-            if key == "rng":
-                seed, label, counter = rest.split()
-                rng = Rng(int(seed), label, int(counter))
-            elif key == "score":
-                fields = dict(tok.split("=", 1) for tok in rest.split())
-                if fields["size"] != "1":
-                    raise CheckpointError("size= must be 1: the size factor is always on")
-                if fields["compute"] not in ("0", "1"):
-                    raise CheckpointError(f"compute= must be 0 or 1, not {fields['compute']!r}")
-                score = ScoreParams(s=float(fields["s"]), P=float(fields["P"]),
-                                    F=float(fields["F"]),
-                                    compute_factor_enabled=fields["compute"] == "1")
-            elif key == "counters":
-                counters = {k: int(v) for k, v in
-                            (tok.split("=", 1) for tok in rest.split())}
-                for name, value in counters.items():
-                    if value < 0:
-                        raise CheckpointError(f"counter {name}= is negative: {value}")
-            elif key == "axis":
-                axes.append(parse_axis_line(rest))
-            elif key == "task":
-                name, task_path = rest.split(None, 1)
-                task_paths[name] = task_path
-            elif key == "block":
-                bid, kind, d_in, d_out, created_by, gen = rest.split()
-                if block_meta and int(bid) <= block_meta[-1][0]:
-                    raise CheckpointError(f"block {bid} is listed out of id order")
-                block_meta.append((int(bid), kind, int(d_in), int(d_out),
-                                   created_by, int(gen)))
-            elif key == "model":
-                mid, task, parent, created, quality, snap = rest.split()
-                if int(mid) in models:
-                    raise CheckpointError(f"model {mid} is listed twice")
-                if int(created) != int(mid):
-                    raise CheckpointError(
-                        f"model {mid} has creation index {created}, not its id")
-                models[int(mid)] = {
-                    "task": task,
-                    "parent": None if parent == "-" else int(parent),
-                    "quality": _parse_opt(quality),
-                    "score": _parse_opt(snap),
-                }
-            elif key == "layers":
-                mid, refs = rest.split(None, 1)
-                layers = []
-                for tok in refs.split(","):
-                    lid, flag = tok.split(":")
-                    layers.append((int(lid), bool(int(flag))))
-                model_entry(int(mid))["layers"] = layers
-            elif key == "hparams":
-                mid, body = rest.split(None, 1)
-                hp = {}
-                for tok in body.split(";"):
-                    axis, value = tok.split("=", 1)
-                    hp[axis] = parse_value(value)
-                model_entry(int(mid))["hparams"] = hp
-            elif key == "mu":
-                mid, _, body = rest.partition(" ")
-                mu = {}
-                if body:
-                    for tok in body.split(";"):
-                        action, value = tok.split("=", 1)
-                        mu[MutationAction.parse(action)] = float(value)
-                model_entry(int(mid))["mu"] = mu
-            elif key == "selection":
-                mid, task, count = rest.split()
-                if int(count) < 0:
-                    raise CheckpointError(f"selection {mid} {task} has a negative count {count}")
-                selection[(int(mid), task)] = int(count)
-            elif key == "evertrain":
-                ever_trainable.add(int(rest))
-            elif key == "position":
-                seg, done = rest.split()
-                if int(done) < 0:
-                    raise CheckpointError(f"position {seg} has a negative count {done}")
-                position = (seg, int(done))
-            elif key == "history":
-                idx, seg, task, acc, params, flops = rest.split()
-                history[int(idx)] = MetricsSnapshot(
-                    index=int(idx), segment="" if seg == "-" else seg,
-                    task="" if task == "-" else task,
-                    mean_test_accuracy=float(acc),
-                    mean_accounted_params=float(params),
-                    mean_inference_flops=float(flops))
-            elif key == "historytask":
-                idx, task, acc, params, flops = rest.split()
-                history[int(idx)].per_task[task] = (float(acc), float(params),
-                                                    float(flops))
-            else:
-                raise CheckpointError(f"unknown manifest directive {key!r}")
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(f"manifest line {lineno} is corrupt: {exc}") from None
-
-    if rng is None or score is None or not axes:
-        raise CheckpointError("manifest is missing rng, score or axis sections")
-
-    system = SystemState(SearchSpace(axes), score, rng)
-    system.task_paths = task_paths
-    system.selection_counts = selection
-    system.ever_trainable = ever_trainable
-    system.run_position = position
-    system.history = [history[idx] for idx in sorted(history)]
-    system.next_block_id = counters.get("blocks", 0)
-    system.next_model_id = counters.get("models", 0)
-    if counters.get("created", 0) != system.next_model_id:
-        raise CheckpointError("created= counter disagrees with models= counter")
-    system.iterations_done = counters.get("iterations", 0)
-
-    blob, spans = _read_pack(path, pack_name, pack_length, [meta[0] for meta in block_meta])
-    for bid, kind, d_in, d_out, created_by, gen in block_meta:
-        offset, _ = spans[bid]
-        _, n, m = _RECORD_HEAD.unpack_from(blob, offset)
-        offset += _RECORD_HEAD.size
-        params = np.frombuffer(blob, "<f4", n, offset).astype(np.float32)
-        opt = np.frombuffer(blob, "<f4", m, offset + 4 * n).astype(np.float32)
-        try:
-            system.blocks[bid] = LayerBlock(bid, kind, d_in, d_out, params, opt,
-                                            created_by, gen)
-        except SystemError_ as exc:
-            raise CheckpointError(f"block {bid} disagrees with the manifest: {exc}") from None
-
-    for mid, entry in models.items():
-        for field in ("layers", "hparams", "mu"):
-            if field not in entry:
-                raise CheckpointError(f"model {mid} is missing its {field} line")
-        spec = ModelSpec(id=mid, task=entry["task"], layers=entry["layers"],
-                         hparams=entry["hparams"], mu=entry["mu"],
-                         parent_id=entry["parent"],
-                         quality=entry["quality"], score_snapshot=entry["score"])
-        try:
-            system.commit_model(spec)
-        except (SystemError_, SpaceError) as exc:
-            raise CheckpointError(f"model {mid} does not validate: {exc}") from None
-    for name, counter, registry in (("blocks", system.next_block_id, system.blocks),
-                                    ("models", system.next_model_id, system.models)):
-        if registry and counter <= max(registry):
-            raise CheckpointError(f"{name}={counter} is not above listed id {max(registry)}")
-    system.packs[os.path.abspath(path)] = PackPlacement(
-        pack_name, pack_length, set(system.blocks), system.iterations_done, raw)
+    _, pack_name, pack_length = _split_placement(text)
+    records, whole = _read_pack(path, pack_name, pack_length)
+    lines = _Lines(text)
+    try:
+        system = _build(lines, records, pack_name)
+    except Exception as exc:
+        raise CheckpointError(f"manifest line {lines.number}: {exc}") from None
+    if whole != pack_length:
+        raise CheckpointError(f"pack {pack_name} has {whole} of its {pack_length} bytes "
+                              "in whole records")
+    system.packs[os.path.abspath(path)] = PackPlacement(pack_name, pack_length,
+                                                        system.iterations_done, raw)
     return system
 
 
 def checkpoint_digest(path: str) -> str:
     """SHA-256 over what a load reads: the manifest without its placement
-    line, then each listed block's record in id order. It depends on the
+    line, then each loaded block's record in id order. It depends on the
     system state only, not on the saves that made the directory."""
-    body, name, length = _split_placement(_read_manifest(path).decode("utf-8"))
-    listed = [int(line.split()[1]) for line in body.splitlines()
-              if line.startswith("block ")]
-    blob, spans = _read_pack(path, name, length, listed)
+    system = load_checkpoint(path)
+    body = _split_placement(system.packs[os.path.abspath(path)].manifest.decode("utf-8"))[0]
     digest = hashlib.sha256(body.encode("utf-8"))
-    for bid in listed:
-        offset, size = spans[bid]
-        digest.update(blob[offset:offset + size])
+    for block in system.blocks.values():
+        digest.update(_record(block))
     return digest.hexdigest()
 
 

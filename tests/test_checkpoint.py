@@ -199,7 +199,7 @@ def test_manifest_ids_must_ascend_and_stay_below_their_counters(tmp_path):
             ("\n".join(two_models), "\n".join(two_models[4:] + two_models[:4]),
              "not above"),
             ("\n".join(two_models), "\n".join(two_models[:4] + two_models),
-             "listed twice")):
+             "not above")):
         assert text.count(old) == 1
         manifest.write_text(text.replace(old, new))
         with pytest.raises(CheckpointError, match=reason):
@@ -247,6 +247,76 @@ def test_negative_counts_are_rejected(tmp_path):
         manifest.write_text(text.replace(old, new))
         with pytest.raises(CheckpointError, match=f"{reason}.*negative"):
             load_checkpoint(str(tmp_path))
+
+
+def test_manifest_that_is_not_utf8_is_rejected(tmp_path):
+    save_checkpoint(evolved_system(), str(tmp_path))
+    manifest = tmp_path / "manifest"
+    raw = manifest.read_bytes()
+    assert raw.count(b"datasets/t") == 1
+    manifest.write_bytes(raw.replace(b"datasets/t", b"datasets/\xff"))
+    for read in (load_checkpoint, checkpoint_digest):
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            read(str(tmp_path))
+
+
+def test_repeated_or_incomplete_lines_are_rejected(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    lines = text.splitlines(keepends=True)
+    rng, axis, counters = (next(line for line in lines if line.startswith(key + " "))
+                           for key in ("rng", "axis", "counters"))
+    seed, label, _ = rng.split()[1:]
+    edits = [(rng, rng + f"rng {seed} {label} 0\n"), (axis, axis * 2)]
+    edits += [(counters, counters.replace(f" {field}={value}", ""))
+              for field, value in (("blocks", system.next_block_id),
+                                   ("models", system.next_model_id),
+                                   ("iterations", system.iterations_done))]
+    for old, new in edits:
+        assert text.count(old) == 1
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match="manifest line"):
+            load_checkpoint(str(tmp_path))
+
+
+def test_one_line_edits_load_or_raise_a_checkpoint_error(tmp_path):
+    system = evolved_system(iterations=2)
+    system.run_position = ("seg", 2)
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    lines = manifest.read_text().splitlines(keepends=True)
+    assert any(line.startswith("position ") for line in lines)
+    singletons = {"evograft-checkpoint", "rng", "score", "counters", "position",
+                  "model", "layers", "hparams", "mu", "pack"}
+    edits = []
+    for i, line in enumerate(lines):
+        edits.append((f"delete line {i + 1}", lines[:i] + lines[i + 1:], False))
+        edits.append((f"repeat line {i + 1}", lines[:i + 1] + lines[i:],
+                      line.split()[0] in singletons))
+        if i + 1 < len(lines):
+            edits.append((f"swap lines {i + 1} and {i + 2}",
+                          lines[:i] + [lines[i + 1], line] + lines[i + 2:], False))
+    for name, edited, must_reject in edits:
+        manifest.write_text("".join(edited))
+        try:
+            load_checkpoint(str(tmp_path))
+        except CheckpointError:
+            continue
+        assert not must_reject, f"{name} loads"
+
+
+def test_block_trained_after_a_load_mid_iteration_is_saved_again(tmp_path):
+    system = evolved_system()
+    grow(system)
+    save_checkpoint(system, str(tmp_path))
+    loaded = load_checkpoint(str(tmp_path))
+    child = loaded.models[max(loaded.models)]
+    loaded.blocks[child.trainable_ids()[0]].params += 1.0
+    loaded.iterations_done += 1
+    save_checkpoint(loaded, str(tmp_path))
+    assert system_digest(load_checkpoint(str(tmp_path))) == system_digest(loaded)
 
 
 def test_load_rejects_a_model_that_does_not_validate(tmp_path):

@@ -186,6 +186,22 @@ def test_init_rejects_duplicate_task_names_and_empty_roots(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_init_rejects_a_task_path_with_a_line_break(tmp_path, capsys):
+    spec = write(tmp_path / "gen.spec", GEN_SPEC)
+    space = write(tmp_path / "desk.axes", space_text(load_builtin_space("desk")))
+    tasks = str(tmp_path / "tasks")
+    assert main(["gen-tasks", "--spec", spec, "--seed", "5", "--out", tasks]) == 0
+    os.rename(os.path.join(tasks, "alpha"), os.path.join(tasks, "al\npha"))
+    capsys.readouterr()
+    ckpt = tmp_path / "ckpt"
+    assert main(["init", "--space", space, "--tasks", tasks, "--seed", "7",
+                 str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "task 'alpha'" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not ckpt.exists()
+
+
 def test_add_tasks_registers_new_datasets(tmp_path, capsys):
     ckpt, tasks, root = setup_workspace(tmp_path)
     more = write(root / "more.spec",
