@@ -22,6 +22,14 @@ other name. Either way the manifest is replaced in one rename after the pack
 is written, so a save stopped at any point leaves a checkpoint that loads as
 the old or the new system, plus at most bytes past the placement length or a
 stray pack, which the next save cuts or removes.
+
+A save re-renders only the manifest lines that can change. A committed
+model's ``layers``, ``hparams`` and ``mu`` lines and each history snapshot's
+lines never change, so their text is kept in ``SystemState.rendered`` (derived
+state, never persisted, pruned to the live models and snapshots on each save).
+``write_manifest`` and ``system_digest`` render every line fresh, so a reload
+that equals the system in memory also checks that memo. Blocks whose
+iteration had ended when the checkpoint was saved load read-only (settled).
 """
 
 from __future__ import annotations
@@ -64,6 +72,25 @@ class PackPlacement:
 
 
 def write_manifest(system: SystemState) -> str:
+    """The manifest without its placement line, every line rendered fresh."""
+    return _render(system, {})
+
+
+def _render(system: SystemState, memo: dict) -> str:
+    """The manifest without its placement line. A committed model's
+    ``layers``, ``hparams`` and ``mu`` lines and a history snapshot's lines
+    never change, so they come from ``memo`` where it holds them for the same
+    object; ``memo`` is left holding exactly those of the live models and
+    snapshots."""
+    kept = {}
+
+    def memoized(key, owner, render) -> str:
+        hit = memo.get(key)
+        if hit is None or hit[0] is not owner:
+            hit = (owner, render(owner))
+        kept[key] = hit
+        return hit[1]
+
     lines = [f"evograft-checkpoint {FORMAT_VERSION}"]
     seed, label, counter = system.rng.state()
     lines.append(f"rng {seed} {label} {counter}")
@@ -81,18 +108,21 @@ def write_manifest(system: SystemState) -> str:
     for b in system.blocks.values():
         lines.append(f"block {b.id} {b.kind} {b.d_in} {b.d_out} "
                      f"{b.created_by_task} {b.generation_tag}")
+    axis_names = system.space.axis_names()
+
+    def model_lines(m: ModelSpec) -> str:
+        layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
+        hparams = ";".join(f"{axis}={format_value(m.hparams[axis])}" for axis in axis_names)
+        mu = ";".join(f"{a.key()}={v!r}" for a, v in
+                      sorted(m.mu.items(), key=lambda kv: kv[0].key()))
+        return "\n".join((f"layers {m.id} {layers}", f"hparams {m.id} {hparams}",
+                          f"mu {m.id} {mu}"))
+
     for m in system.models.values():
         parent = "-" if m.parent_id is None else str(m.parent_id)
         quality, snap = ("-" if v is None else repr(v) for v in (m.quality, m.score_snapshot))
         lines.append(f"model {m.id} {m.task} {parent} {m.id} {quality} {snap}")
-        layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
-        lines.append(f"layers {m.id} {layers}")
-        hparams = ";".join(f"{axis}={format_value(m.hparams[axis])}"
-                           for axis in system.space.axis_names())
-        lines.append(f"hparams {m.id} {hparams}")
-        mu = ";".join(f"{a.key()}={v!r}" for a, v in
-                      sorted(m.mu.items(), key=lambda kv: kv[0].key()))
-        lines.append(f"mu {m.id} {mu}")
+        lines.append(memoized(("model", m.id), m, model_lines))
     for (mid, task) in sorted(system.selection_counts):
         lines.append(f"selection {mid} {task} {system.selection_counts[(mid, task)]}")
     for bid in sorted(system.ever_trainable):
@@ -101,12 +131,19 @@ def write_manifest(system: SystemState) -> str:
         seg, done = system.run_position
         lines.append(f"position {seg} {done}")
     for snap in system.history:
-        lines.append(f"history {snap.index} {snap.segment or '-'} {snap.task or '-'} "
-                     f"{snap.mean_test_accuracy!r} {snap.mean_accounted_params!r} "
-                     f"{snap.mean_inference_flops!r}")
-        for task, (acc, params, flops) in sorted(snap.per_task.items()):
-            lines.append(f"historytask {snap.index} {task} {acc!r} {params!r} {flops!r}")
+        lines.append(memoized(("history", id(snap)), snap, _history_lines))
+    memo.clear()
+    memo.update(kept)
     return "\n".join(lines) + "\n"
+
+
+def _history_lines(snap: MetricsSnapshot) -> str:
+    lines = [f"history {snap.index} {snap.segment or '-'} {snap.task or '-'} "
+             f"{snap.mean_test_accuracy!r} {snap.mean_accounted_params!r} "
+             f"{snap.mean_inference_flops!r}"]
+    for task, (acc, params, flops) in sorted(snap.per_task.items()):
+        lines.append(f"historytask {snap.index} {task} {acc!r} {params!r} {flops!r}")
+    return "\n".join(lines)
 
 
 def _record_size(block: LayerBlock) -> int:
@@ -148,8 +185,10 @@ def save_checkpoint(system: SystemState, path: str) -> None:
     length and append every block whose iteration had not ended at that save
     or load; otherwise write a fresh pack under the other name. Then replace
     the manifest in one rename, and only then remove every other file under
-    ``blocks/``. A task path that is not one line fails before any write."""
-    text = write_manifest(system)
+    ``blocks/``. A task path that is not one line fails before any write.
+    The manifest lines that cannot change are rendered once and then reused
+    from ``system.rendered``."""
+    text = _render(system, system.rendered)
     blocks_dir = os.path.join(path, "blocks")
     os.makedirs(blocks_dir, exist_ok=True)
     manifest_path = os.path.join(path, "manifest")
@@ -281,8 +320,11 @@ def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
         if int(bid) not in records:
             raise CheckpointError(f"block {bid} has no whole record in pack {pack}")
         params, opt = (array.astype(np.float32) for array in records[int(bid)])
-        system.blocks[int(bid)] = LayerBlock(int(bid), kind, int(d_in), int(d_out), params,
-                                             opt, created_by, int(gen))
+        block = LayerBlock(int(bid), kind, int(d_in), int(d_out), params, opt, created_by,
+                           int(gen))
+        if block.generation_tag < system.iterations_done:
+            block.settle()
+        system.blocks[block.id] = block
     for rest in lines.each("model"):
         mid, task, parent, created, quality, snap = rest.split()
         if int(created) != int(mid):
@@ -304,9 +346,12 @@ def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
             raise CheckpointError(f"model {mid} does not validate: {exc}") from None
     for rest in lines.each("selection"):
         mid, task, count = rest.split()
+        counts = system.selection_counts
+        if counts and (int(mid), task) <= next(reversed(counts)):
+            raise CheckpointError(f"selection {mid} {task} is listed out of order")
         if int(count) < 0:
             raise CheckpointError(f"selection {mid} {task} has a negative count {count}")
-        system.selection_counts[(int(mid), task)] = int(count)
+        counts[(int(mid), task)] = int(count)
     system.ever_trainable.update(int(rest) for rest in lines.each("evertrain"))
     if lines.key() == "position":
         seg, done = lines.take("position").split()
@@ -315,6 +360,8 @@ def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
         system.run_position = (seg, int(done))
     for rest in lines.each("history"):
         idx, seg, task, acc, params, flops = rest.split()
+        if system.history and int(idx) <= system.history[-1].index:
+            raise CheckpointError(f"history {idx} is listed out of index order")
         snap = MetricsSnapshot(int(idx), "" if seg == "-" else seg, "" if task == "-" else task,
                                float(acc), float(params), float(flops))
         for rest in lines.each("historytask", idx):

@@ -226,7 +226,8 @@ def run_generation(system: SystemState, task: str, dataset: TaskDataset,
 
 def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
                        cfg: EvolutionConfig, rng: Rng) -> SystemState:
-    """One active-task iteration: generations of children, then keep-best."""
+    """One active-task iteration: generations of children, then keep-best.
+    Every block the iteration created is settled (read-only) as it ends."""
     if task == ROOT_TASK:
         raise EvolutionError("the root pseudo-task cannot be iterated")
     if dataset.name != task:
@@ -245,6 +246,9 @@ def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
         for model in rest:
             system.discard_model(model)
         best.score_snapshot = score_model(system, best)
+    for block in system.blocks.values():
+        if block.generation_tag == system.iterations_done:
+            block.settle()
     system.iterations_done += 1
     return system
 
@@ -253,15 +257,26 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
                      task_subset: list[str], segment: str = "",
                      task: str = "") -> MetricsSnapshot:
     """Mean test accuracy over the subset's modeled tasks; cost means over all
-    models in the system."""
+    models in the system.
+
+    A model whose blocks are all settled cannot change, so its test accuracy
+    is kept in ``system.test_accuracy`` with the dataset it was measured on
+    and reused while the same dataset object is passed; after an iteration
+    only the iterated task's best can be new and need an evaluation."""
     per_task = {}
     for name in task_subset:
         models = system.models_for(name)
         if not models:
             continue
         best = _best_first(system, models)[0]
-        test_images, test_labels = datasets[name].split("test")
-        acc = evaluate(system, best, test_images, test_labels)
+        dataset = datasets[name]
+        memo = system.test_accuracy.get(best.id)
+        if memo is not None and memo[0] is dataset:
+            acc = memo[1]
+        else:
+            acc = evaluate(system, best, *dataset.split("test"))
+            if all(block.settled for block in system.model_blocks(best)):
+                system.test_accuracy[best.id] = (dataset, acc)
         per_task[name] = (acc, system.accounted_params(best),
                           float(system.inference_flops(best)))
     mean_acc = (sum(v[0] for v in per_task.values()) / len(per_task)) if per_task else 0.0

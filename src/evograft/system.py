@@ -11,9 +11,12 @@ not depend on sharing. ``blocks`` and ``models`` iterate in ascending id
 order by construction: ``add_block`` numbers upward and ``commit_model``
 accepts only an id above the last committed one, so readers never re-sort.
 
-Reads are safe to run concurrently; commit, discard, and garbage collection
-assume a single writer. Training never writes a block referenced frozen, so
-child training may overlap reads of shared state.
+A block is settled once the iteration that created it ends: its parameter
+and optimizer arrays become read-only (``LayerBlock.settle``), so any later
+write raises numpy's ``ValueError`` and a settled task can never be
+forgotten. Reads are safe to run concurrently; commit, discard, and garbage
+collection assume a single writer, and training writes only unsettled blocks,
+so child training may overlap reads of settled ones.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .search_space import RESOLUTION_AXIS, SearchSpace
 
 if TYPE_CHECKING:
     from .checkpoint import PackPlacement
+    from .data import TaskDataset
     from .scoring import ScoreParams
 
 EMBEDDING = "embedding"
@@ -81,6 +85,16 @@ class LayerBlock:
     def clone_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.params.copy(), self.opt.copy()
 
+    def settle(self) -> None:
+        """Make both arrays read-only: the iteration that created the block
+        has ended, and nothing may write it again."""
+        self.params.flags.writeable = False
+        self.opt.flags.writeable = False
+
+    @property
+    def settled(self) -> bool:
+        return not (self.params.flags.writeable or self.opt.flags.writeable)
+
 
 @dataclass
 class ModelSpec:
@@ -126,9 +140,14 @@ class SystemState:
         self.next_block_id = 0
         self.next_model_id = 0
         self.iterations_done = 0
-        # checkpoint path -> the pack placement last saved or loaded there;
-        # derived state, never persisted
+        # Derived state, never persisted:
+        # checkpoint path -> the pack placement last saved or loaded there
         self.packs: dict[str, "PackPlacement"] = {}
+        # manifest text that cannot change, kept by the checkpoint writer
+        self.rendered: dict = {}
+        # model id -> (test dataset, test accuracy) of a model whose blocks
+        # are all settled, kept by metrics_snapshot
+        self.test_accuracy: dict[int, tuple["TaskDataset", float]] = {}
 
     # -- block and model lifecycle -------------------------------------------
 
@@ -189,6 +208,7 @@ class SystemState:
         if model.id not in self.models:
             raise SystemError_(f"model {model.id} is not committed")
         del self.models[model.id]
+        self.test_accuracy.pop(model.id, None)
         for lid in set(model.layer_ids()):
             counts = self.refs[lid]
             counts[model.task] -= 1

@@ -290,11 +290,12 @@ def test_one_line_edits_load_or_raise_a_checkpoint_error(tmp_path):
     assert any(line.startswith("position ") for line in lines)
     singletons = {"evograft-checkpoint", "rng", "score", "counters", "position",
                   "model", "layers", "hparams", "mu", "pack"}
+    ascending = {"history", "selection"}  # a repeat breaks their strict order
     edits = []
     for i, line in enumerate(lines):
         edits.append((f"delete line {i + 1}", lines[:i] + lines[i + 1:], False))
         edits.append((f"repeat line {i + 1}", lines[:i + 1] + lines[i:],
-                      line.split()[0] in singletons))
+                      line.split()[0] in singletons | ascending))
         if i + 1 < len(lines):
             edits.append((f"swap lines {i + 1} and {i + 2}",
                           lines[:i] + [lines[i + 1], line] + lines[i + 2:], False))
@@ -305,6 +306,84 @@ def test_one_line_edits_load_or_raise_a_checkpoint_error(tmp_path):
         except CheckpointError:
             continue
         assert not must_reject, f"{name} loads"
+
+
+def test_history_and_selection_lines_must_strictly_ascend(tmp_path):
+    system = evolved_system(iterations=2)
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    lines = text.splitlines(keepends=True)
+    history = [i for i, line in enumerate(lines) if line.startswith("history ")]
+    selection = next(line for line in lines if line.startswith("selection "))
+    first, second = lines[history[0]:history[1]], lines[history[1]:history[1] + 2]
+    mid, task, count = selection.split()[1:]
+    edits = [
+        (first[0], first[0] * 2),  # a snapshot with no rows, then the real one
+        ("".join(second), "".join(second) * 2),
+        ("".join(first) + "".join(second), "".join(second) + "".join(first)),
+        (selection, selection + f"selection {mid} {task} {int(count) + 5}\n"),
+    ]
+    for old, new in edits:
+        assert text.count(old) == 1
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match="out of .*order"):
+            load_checkpoint(str(tmp_path))
+
+
+def test_blocks_of_ended_iterations_load_settled(tmp_path):
+    system = evolved_system()
+    child = grow(system)  # mid-iteration: its new blocks may still train
+    save_checkpoint(system, str(tmp_path))
+    loaded = load_checkpoint(str(tmp_path))
+    for block in loaded.blocks.values():
+        ended = block.generation_tag < loaded.iterations_done
+        assert block.params.flags.writeable == block.opt.flags.writeable == (not ended)
+    frozen = [lid for lid, trainable in child.layers if not trainable]
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.blocks[frozen[0]].params[0] = 0.0
+    loaded.blocks[child.trainable_ids()[0]].params[0] = 0.0
+
+
+def test_every_save_matches_a_fresh_manifest(tmp_path):
+    from evograft.checkpoint import _split_placement, write_manifest
+    from evograft.evolution import SegmentSpec, run_plan
+    datasets = {name: make_dataset(name, classes=2 + i, seed=40 + i)
+                for i, name in enumerate(("a", "b"))}
+    datasets["t"] = make_dataset("t", seed=60)
+    plan = [SegmentSpec("base", ["t", "a", "b"], iterations=2, mode="munet", s=0.99),
+            SegmentSpec("plus", ["t", "a"], mode="munet_plus", recalibrate=10.0,
+                        children=2)]
+    saves, model_lines, changed = 0, {}, 0
+
+    def save(system):
+        nonlocal saves, changed
+        save_checkpoint(system, str(tmp_path))
+        saves += 1
+        saved = _split_placement((tmp_path / "manifest").read_text())[0]
+        assert saved == write_manifest(system), f"save {saves}"
+        for line in saved.splitlines():
+            if line.startswith("model "):
+                mid = line.split()[1]
+                changed += model_lines.get(mid, line) != line
+                model_lines[mid] = line
+
+    class Stop(Exception):
+        pass
+
+    def save_then_stop_at_three(snap):
+        save(system)
+        if saves == 3:
+            raise Stop
+
+    system = evolved_system()
+    with pytest.raises(Stop):
+        run_plan(system, plan, datasets, quick_config(), save_then_stop_at_three)
+    resumed = load_checkpoint(str(tmp_path))
+    run_plan(resumed, plan, datasets, quick_config(), lambda snap: save(resumed))
+    save(resumed)
+    assert saves == 9
+    assert changed, "some live model's score must change between saves"
 
 
 def test_block_trained_after_a_load_mid_iteration_is_saved_again(tmp_path):

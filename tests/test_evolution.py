@@ -1,3 +1,4 @@
+import logging
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -292,6 +293,108 @@ def test_snapshot_accuracy_restricted_to_subset_costs_over_all():
     hand_mean = sum(system.accounted_params(m) for m in system.models.values()) \
         / len(system.models)
     assert snap.mean_accounted_params == pytest.approx(hand_mean, rel=1e-12)
+
+
+def test_blocks_are_settled_when_their_iteration_ends():
+    system = fresh_system()
+    ds = make_dataset("t", seed=45)
+    run_task_iteration(system, "t", ds, quick_config(), Rng(9, "settle"))
+    assert all(block.settled for block in system.blocks.values())
+    parent = system.models_for("t")[0]
+    head = system.block(parent.head_id())
+    with pytest.raises(ValueError, match="read-only"):
+        trainer.sgd_step(head.params, head.opt, np.ones_like(head.params), 0.1, 0.9, False)
+
+    # A child writes its fresh copies; its frozen references stay settled.
+    child = apply_mutations(system, parent, finetune_top_actions(parent, 1), "t",
+                            ds.num_classes, Rng(9, "child"))
+    frozen = [lid for lid, trainable in child.layers if not trainable]
+    assert frozen and child.trainable_ids()
+    for lid in child.trainable_ids():
+        system.block(lid).params[0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        system.block(frozen[-1]).params[0] += 1.0
+
+
+def test_a_write_to_a_settled_block_leaves_run_generation(monkeypatch, caplog):
+    system = fresh_system()
+    ds = make_dataset("t", seed=44)
+    run_task_iteration(system, "t", ds, quick_config(), Rng(8, "first"))
+
+    def train_every_layer(system, model, dataset, budget, cycle, total, rng):
+        for block in system.model_blocks(model):
+            trainer.sgd_step(block.params, block.opt, np.ones_like(block.params),
+                             0.1, 0.9, False)
+
+    monkeypatch.setattr(evolution, "train_cycle", train_every_layer)
+    with caplog.at_level(logging.WARNING, logger="evograft"):
+        with pytest.raises(ValueError, match="read-only"):
+            run_generation(system, "t", ds, quick_config(), system.models_for("t"),
+                           Rng(8, "gen"))
+    assert "failed training" not in caplog.text
+
+
+def count_snapshot_evaluations(monkeypatch) -> list[int]:
+    """Install counters; the list gets one entry per ``metrics_snapshot`` call:
+    the number of ``evaluate`` calls made inside it."""
+    counts, inside = [], False
+    real_snapshot, real_evaluate = evolution.metrics_snapshot, evolution.evaluate
+
+    def snapshot(*args, **kwargs):
+        nonlocal inside
+        counts.append(0)
+        inside = True
+        try:
+            return real_snapshot(*args, **kwargs)
+        finally:
+            inside = False
+
+    def counted(*args):
+        if inside:
+            counts[-1] += 1
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(evolution, "metrics_snapshot", snapshot)
+    monkeypatch.setattr(evolution, "evaluate", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_each_snapshot_evaluates_only_the_iterated_tasks_best(monkeypatch, n):
+    names = [f"t{i}" for i in range(n)]
+
+    def tasks():
+        return {name: make_dataset(name, classes=2, n_train=16, n_val=8, n_test=8,
+                                   seed=60 + i) for i, name in enumerate(names)}
+
+    datasets = tasks()
+    counts = count_snapshot_evaluations(monkeypatch)
+    system = fresh_system()
+    run_plan(system, [SegmentSpec("all", names, iterations=2)], datasets, quick_config())
+    # each first iteration makes its task's first model; later ones may keep it
+    assert counts[:n] == [1] * n
+    assert len(counts) == 2 * n and all(count <= 1 for count in counts[n:])
+    assert set(system.test_accuracy) == {m.id for m in system.models.values()
+                                         if m.task in datasets}
+
+    # a snapshot on other dataset objects measures again, and agrees
+    counts.clear()
+    fresh = evolution.metrics_snapshot(system, tasks(), names)
+    assert counts == [n]
+    assert fresh.per_task == system.history[-1].per_task
+
+
+def test_discarded_models_leave_the_accuracy_memo():
+    system = fresh_system()
+    datasets = {"a": make_dataset("a", seed=52), "b": make_dataset("b", seed=53)}
+    plan = [SegmentSpec("grow", ["a", "b"], iterations=2, children=2, generations=2)]
+    run_plan(system, plan, datasets, quick_config())
+    assert system.next_model_id > len(system.models) + 2, "iterations must discard"
+    assert set(system.test_accuracy) <= set(system.models)
+    best = system.models_for("a")[0]
+    assert best.id in system.test_accuracy
+    system.discard_model(best)
+    assert best.id not in system.test_accuracy
 
 
 def test_parse_segments_round_robin_and_overrides():
