@@ -157,15 +157,18 @@ def bilinear_taps(size, out: int):
 
 def bilinear_resample(images: np.ndarray, y_taps, x_taps) -> np.ndarray:
     """A float (n, h, w, c) batch at shared or per-image ``bilinear_taps``:
-    columns blend in every source row, then rows, channels next to x."""
+    columns blend in every source row, then rows. Each gather takes whole
+    pixels, then whole output rows, and each blend runs along a row's
+    ``out_w * c`` values, never along the short channel axis."""
     n, h, w, c = images.shape
     (y0, y1, wy), (x0, x1, wx) = y_taps, x_taps
-    starts = np.arange(n * h).reshape(n, h, 1) * (w * c)
-    left, right = (np.take(images, starts + (x[..., None] * c + np.arange(c)).reshape(
-        *x.shape[:-1], 1, -1)) for x in (x0, x1))
-    rows = blend(left, right, np.repeat(wx, c, axis=-1)[..., None, :])
-    first = np.arange(n)[:, None]
-    out = blend(rows[first, y0], rows[first, y1], wy[..., None])
+    pixels = images.reshape(n * h * w, c)
+    starts = np.arange(0, n * h * w, w).reshape(n, h, 1)
+    rows = blend(*(np.take(pixels, starts + x[..., None, :], axis=0).reshape(n, h, -1)
+                   for x in (x0, x1)), np.repeat(wx, c, axis=-1)[..., None, :])
+    first = np.arange(0, n * h, h)[:, None]
+    out = blend(*(np.take(rows.reshape(n * h, -1), first + y, axis=0) for y in (y0, y1)),
+                wy[..., None])
     return out.reshape(n, y0.shape[-1], x0.shape[-1], c)
 
 

@@ -4,8 +4,9 @@ The system holds every parameter block once; models are ordered lists of
 (block id, trainable flag) references. A block's cost to one model is its
 parameter count divided by one plus the number of models for *other* tasks
 referencing it, so shared frozen blocks get cheaper as more tasks reuse them.
-Those counts come from ``refs``, an index of references per block and task
-that only commit and discard change; it is derived state, never persisted.
+Those counts come from ``refs``, an index of references per block and task,
+and a task's models from ``by_task``; only commit and discard change either
+index, and both are derived state, never persisted.
 Inference flops are an analytic count over the model's own dense maps and do
 not depend on sharing. ``blocks`` and ``models`` iterate in ascending id
 order by construction: ``add_block`` numbers upward and ``commit_model``
@@ -132,6 +133,7 @@ class SystemState:
         self.blocks: dict[int, LayerBlock] = {}
         self.models: dict[int, ModelSpec] = {}
         self.refs: dict[int, dict[str, int]] = {}  # block -> task -> models
+        self.by_task: dict[str, dict[int, ModelSpec]] = {}  # task -> id -> model
         self.selection_counts: dict[tuple[int, str], int] = {}
         self.task_paths: dict[str, str] = {}
         self.ever_trainable: set[int] = set()
@@ -174,10 +176,10 @@ class SystemState:
         return [self.block(lid) for lid in model.layer_ids()]
 
     def models_for(self, task: str) -> list[ModelSpec]:
-        return [m for m in self.models.values() if m.task == task]
+        return list(self.by_task.get(task, {}).values())
 
     def tasks_with_models(self) -> list[str]:
-        return sorted({m.task for m in self.models.values()})
+        return sorted(self.by_task)
 
     def validate_model(self, model: ModelSpec) -> None:
         kinds = [self.block(lid).kind for lid in model.layer_ids()]
@@ -197,6 +199,7 @@ class SystemState:
             raise SystemError_(f"model {model.id} is not above the last committed id")
         self.validate_model(model)
         self.models[model.id] = model
+        self.by_task.setdefault(model.task, {})[model.id] = model
         for lid in set(model.layer_ids()):
             counts = self.refs.setdefault(lid, {})
             counts[model.task] = counts.get(model.task, 0) + 1
@@ -208,6 +211,9 @@ class SystemState:
         if model.id not in self.models:
             raise SystemError_(f"model {model.id} is not committed")
         del self.models[model.id]
+        del self.by_task[model.task][model.id]
+        if not self.by_task[model.task]:
+            del self.by_task[model.task]
         self.test_accuracy.pop(model.id, None)
         for lid in set(model.layer_ids()):
             counts = self.refs[lid]

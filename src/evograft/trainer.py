@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TaskDataset, bilinear_resample, bilinear_resize, bilinear_taps, blend
+from .data import TaskDataset, bilinear_resample, bilinear_resize, bilinear_taps
 from .rng import Rng
 from .search_space import RESOLUTION_AXIS
 from .system import ModelSpec, SystemState
@@ -59,26 +59,39 @@ def preprocess_batch(images: np.ndarray, hparams: dict, rng: Rng | None,
     """(n, h, w, c) uint8 images to a float32 (n, res, res, c) batch in [-1, 1].
 
     Train mode randomly crops, resizes, flips (if on), color-jitters within the
-    per-axis deltas and quality-quantizes each image. Eval mode is one
-    deterministic resize of the whole batch and never touches the rng.
+    per-axis deltas and quality-quantizes each image. Eval mode is a
+    deterministic resize, EVAL_CHUNK images at a time so its float64
+    intermediates stay one chunk's size, and never touches the rng.
     """
     if images.ndim != 4 or images.dtype != np.uint8:
         raise TrainerError(
             f"expected uint8 (n, h, w, c) images, got {images.shape} {images.dtype}")
-    x = images.astype(np.float64) / 255.0
+    if len(images) == 0:
+        raise TrainerError("cannot preprocess an empty batch")
     res = hparams[RESOLUTION_AXIS]
     if train_mode:
         if rng is None:
             raise TrainerError("training preprocessing needs an rng")
-        x = _augment(x, hparams, res, rng)
-    else:
-        x = bilinear_resize(x, res, res)
-    return (x * 2.0 - 1.0).astype(np.float32)
+        x = _augment(images / 255.0, hparams, res, rng)
+        return _to_unit_range(x, np.empty(x.shape, dtype=np.float32))
+    out = np.empty((len(images), res, res, images.shape[3]), dtype=np.float32)
+    for start in range(0, len(images), EVAL_CHUNK):
+        _to_unit_range(bilinear_resize(images[start:start + EVAL_CHUNK] / 255.0, res, res),
+                       out[start:start + EVAL_CHUNK])
+    return out
+
+
+def _to_unit_range(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x * 2 - 1 computed in float64 and written to the float32 ``out``,
+    rounded once, as ``astype`` would."""
+    x *= 2.0
+    return np.subtract(x, 1.0, out=out)
 
 
 def _augment(x: np.ndarray, hparams: dict, res: int, rng: Rng) -> np.ndarray:
     """Augment a float (n, h, w, c) batch exactly as one image at a time would
-    be: the same draws in the same order, and each pixel's sums in its order."""
+    be: the same draws in the same order, and each pixel's sums in its order.
+    Every jitter step works in the resampled batch's own memory."""
     n, h, w, c = x.shape
     bright, contrast, sat, hue, quality = (hparams[f"{name}_delta"] for name in (
         "brightness", "contrast", "saturation", "hue", "quality"))
@@ -98,35 +111,65 @@ def _augment(x: np.ndarray, hparams: dict, res: int, rng: Rng) -> np.ndarray:
               ).astype(int)[:, :, None]
     (y0, x0), (y1, x1), (wy, wx) = bilinear_taps(size, res)
     if hparams["flip"]:
-        flip = next(draws) < 0.5
-        x0, x1, wx = (np.where(flip.reshape(n, 1), t[:, ::-1], t) for t in (x0, x1, wx))
+        flip = (next(draws) < 0.5).reshape(n)
+        x0, x1, wx = (np.where(flip[:, None], t[:, ::-1], t) for t in (x0, x1, wx))
     x = bilinear_resample(x, (oy + y0, oy + y1, wy), (ox + x0, ox + x1, wx))
 
     if bright > 0:
         x += uniform_in(-bright, bright)
     if contrast > 0:
         mean = x.mean(axis=(1, 2, 3), keepdims=True)
-        if hparams["flip"] and not bright > 0:
+        if hparams["flip"] and not bright > 0 and flip.any():
             # one image at a time, this is a reversed view, which numpy sums its own way
-            mirrored = x[:, :, ::-1].copy()[:, :, ::-1].mean(axis=(1, 2, 3), keepdims=True)
-            mean = np.where(flip, mirrored, mean)
-        x = mean + (x - mean) * (1.0 + uniform_in(-contrast, contrast))
+            mean[flip] = x[flip, :, ::-1][:, :, ::-1].mean(axis=(1, 2, 3), keepdims=True)
+        _scale_about(x, mean, 1.0 + uniform_in(-contrast, contrast))
     if sat > 0:
-        gray = x.mean(axis=3, keepdims=True)
-        x = gray + (x - gray) * (1.0 + uniform_in(-sat, sat))
+        # the channel mean summed left to right, as numpy sums a short axis,
+        # then laid out once over the channels so every pass below is flat
+        gray = x[..., 0].copy()
+        for i in range(1, c):
+            gray += x[..., i]
+        gray /= c
+        _scale_about(x, np.stack([gray] * c, axis=-1), 1.0 + uniform_in(-sat, sat))
     if hue > 0:
         shift = uniform_in(-hue, hue)
         if c >= 3:
-            rolled = np.where(shift > 0, np.roll(x, 1, axis=3), np.roll(x, -1, axis=3))
-            x = blend(x, rolled, abs(shift))
+            weight = abs(shift)
+            rolled = _weighted_roll(x, shift.reshape(n) > 0, weight.reshape(n))
+            x *= 1 - weight
+            x += rolled
     if max(bright, contrast, sat, hue) > 0:
         np.clip(x, 0.0, 1.0, out=x)
     if quality > 0:
         # Quantization grain in [5, 255] levels depending on delta and the draw.
-        levels = np.round(1.0 / (quality * next(draws) + 1.0 / 255.0)).astype(int)
-        steps = np.maximum(2, levels) - 1
-        x = np.round(x * steps) / steps
+        levels = np.round(1.0 / (quality * next(draws) + 1.0 / 255.0))
+        steps = np.maximum(2.0, levels) - 1.0
+        x *= steps
+        np.round(x, out=x)
+        x /= steps
     return x
+
+
+def _scale_about(x: np.ndarray, center: np.ndarray, factor: np.ndarray) -> None:
+    """x = center + (x - center) * factor, in x's memory."""
+    x -= center
+    x *= factor
+    x += center
+
+
+def _weighted_roll(x: np.ndarray, up: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Per image, ``weight`` times ``np.roll`` by +1 (where ``up``) or -1 along
+    the channel axis: a flat one-value shift, then the channel that wraps."""
+    rolled = np.empty_like(x)
+    flat, out = x.reshape(len(x), -1), rolled.reshape(len(x), -1)
+    for i, (forward, w) in enumerate(zip(up, weight)):
+        if forward:
+            np.multiply(flat[i, :-1], w, out=out[i, 1:])
+            np.multiply(x[i, ..., -1], w, out=rolled[i, ..., 0])
+        else:
+            np.multiply(flat[i, 1:], w, out=out[i, :-1])
+            np.multiply(x[i, ..., 0], w, out=rolled[i, ..., -1])
+    return rolled
 
 
 # -- forward / backward --------------------------------------------------------
@@ -154,7 +197,7 @@ def _forward_cached(system: SystemState, model: ModelSpec, batch: np.ndarray, dt
         raise TrainerError(
             f"batch shape {batch.shape} does not match the model's resolution "
             f"{model.hparams[RESOLUTION_AXIS]}")
-    x = batch.astype(dtype)
+    x = batch.astype(dtype, copy=False)
     emb = blocks[0]
     patches = _patchify(x, emb.d_in)
     z = patches @ emb.weight(dtype) + emb.bias(dtype)
@@ -293,18 +336,26 @@ def train_cycle(system: SystemState, model: ModelSpec, dataset: TaskDataset,
 
 def evaluate(system: SystemState, model: ModelSpec, images: np.ndarray,
              labels: np.ndarray) -> float:
-    """Top-1 accuracy under deterministic eval preprocessing."""
-    batch = preprocess_batch(images, model.hparams, None, train_mode=False)
-    return batch_accuracy(system, model, batch, labels)
+    """Top-1 accuracy under deterministic eval preprocessing. Each EVAL_CHUNK
+    of images is preprocessed just before it is forwarded, so memory is
+    bounded by the chunk, not by the split."""
+    return _accuracy(system, model, labels, lambda chunk: preprocess_batch(
+        images[chunk], model.hparams, None, train_mode=False))
 
 
 def batch_accuracy(system: SystemState, model: ModelSpec, batch: np.ndarray,
                    labels: np.ndarray) -> float:
     """Top-1 accuracy of an eval-mode batch, forwarded EVAL_CHUNK images at a time."""
-    if len(batch) == 0:
+    return _accuracy(system, model, labels, lambda chunk: batch[chunk])
+
+
+def _accuracy(system: SystemState, model: ModelSpec, labels: np.ndarray,
+              batch_of) -> float:
+    if len(labels) == 0:
         raise TrainerError("cannot evaluate on an empty split")
     correct = 0
-    for start in range(0, len(batch), EVAL_CHUNK):
-        logits = forward(system, model, batch[start:start + EVAL_CHUNK])
-        correct += int((logits.argmax(axis=1) == labels[start:start + EVAL_CHUNK]).sum())
-    return correct / len(batch)
+    for start in range(0, len(labels), EVAL_CHUNK):
+        chunk = slice(start, start + EVAL_CHUNK)
+        logits = forward(system, model, batch_of(chunk))
+        correct += int((logits.argmax(axis=1) == labels[chunk]).sum())
+    return correct / len(labels)

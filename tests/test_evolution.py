@@ -202,6 +202,22 @@ def test_child_validation_split_is_preprocessed_once(monkeypatch):
     assert quality == evaluate(system, child, val_images, val_labels)
 
 
+def test_empty_validation_split_fails_the_child_before_training(monkeypatch, caplog):
+    system = fresh_system()
+    ds = make_dataset("t", seed=44)
+    images, labels = ds.split("val")
+    ds.splits["val"] = (images[:0], labels[:0])
+    cycles = []
+    monkeypatch.setattr(evolution, "train_cycle", lambda *args: cycles.append(args))
+    before = list(system.models)
+    with caplog.at_level(logging.WARNING, logger="evograft"):
+        retained = run_generation(system, "t", ds, quick_config(train_cycles=3), [],
+                                  Rng(8, "gen"))
+    assert retained == [] and cycles == []
+    assert list(system.models) == before
+    assert "failed training" in caplog.text and "empty batch" in caplog.text
+
+
 def test_generation_retains_children_into_active_population():
     system = fresh_system()
     ds = make_dataset("t", seed=44)

@@ -324,3 +324,43 @@ def test_sharing_index_matches_brute_force_under_commits_and_discards(tmp_path):
             system.discard_model(victim)
             check_against_brute_force(system, checked)
         assert set(system.blocks) == set(root.layer_ids())
+
+
+def check_task_index(system):
+    """``by_task`` equals a scan of the registry, per task and in id order."""
+    scan = {}
+    for model in system.models.values():
+        scan.setdefault(model.task, []).append(model)
+    assert {task: list(models.items()) for task, models in system.by_task.items()} == {
+        task: [(m.id, m) for m in models] for task, models in scan.items()}
+    assert system.tasks_with_models() == sorted(scan)
+    for task in list(scan) + ["unregistered"]:
+        assert system.models_for(task) == scan.get(task, [])
+
+
+def test_task_index_matches_a_scan_under_commits_discards_and_loads(tmp_path):
+    for seed in range(20):
+        rng = Rng(seed, "task-index")
+        system = empty_system(seed=seed)
+        tasks = [f"task{t}" for t in range(2 + rng.randint(3))]
+        trunk = [add_dense_block(system, EMBEDDING, 3, 1).id]
+        trunk += [add_dense_block(system, HIDDEN, 1, 1).id for _ in range(3)]
+        add_model(system, "root", trunk, 1, 2)
+        check_task_index(system)
+        models = []
+        for _ in range(12):
+            if models and rng.uniform() < 0.4:
+                system.discard_model(models.pop(rng.randint(len(models))))
+            else:
+                random_commit(system, rng, tasks, models)
+            check_task_index(system)
+        path = tmp_path / f"seed{seed}"
+        save_checkpoint(system, str(path))
+        loaded = load_checkpoint(str(path))
+        check_task_index(loaded)
+        assert {t: list(m) for t, m in loaded.by_task.items()} == {
+            t: list(m) for t, m in system.by_task.items()}
+        for victim in [m for m in loaded.models.values() if m.task != "root"]:
+            loaded.discard_model(victim)
+            check_task_index(loaded)
+        assert list(loaded.by_task) == ["root"]

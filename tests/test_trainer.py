@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evograft import trainer
 from evograft.mutations import MAKE_TRAINABLE_HEAD, apply_mutations, clone_action
 from evograft.rng import Rng
 from evograft.system import EMBEDDING, HEAD, HIDDEN
@@ -71,7 +73,7 @@ def test_random_crop_changes_output(desk_space):
     assert len(outs) > 1
 
 
-def test_preprocess_batch_is_independent_of_batch_size(desk_space):
+def test_preprocess_batch_is_independent_of_batch_size(desk_space, monkeypatch):
     images = np.random.default_rng(0).integers(0, 256, size=(5, 16, 16, 3),
                                                dtype=np.uint8)
     hp = desk_space.default_config()
@@ -89,6 +91,42 @@ def test_preprocess_batch_is_independent_of_batch_size(desk_space):
         singles = [preprocess_batch(img[None], {"resolution": res}, None,
                                     train_mode=False)[0] for img in images]
         assert batch.tobytes() == np.stack(singles).tobytes()
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 2)  # 5 images in chunks of 2, 2 and 1
+    for res in (16, 32):
+        chunked = preprocess_batch(images, {"resolution": res}, None, train_mode=False)
+        singles = [preprocess_batch(img[None], {"resolution": res}, None,
+                                    train_mode=False)[0] for img in images]
+        assert chunked.tobytes() == np.stack(singles).tobytes()
+
+
+def test_preprocess_batch_rejects_an_empty_batch(desk_space):
+    empty = np.zeros((0, 16, 16, 3), dtype=np.uint8)
+    with pytest.raises(TrainerError, match="empty batch"):
+        preprocess_batch(empty, desk_space.default_config(), Rng(1, "e"), train_mode=True)
+    with pytest.raises(TrainerError, match="empty batch"):
+        preprocess_batch(empty, desk_space.default_config(), None, train_mode=False)
+
+
+def test_evaluate_memory_is_bounded_by_the_chunk(table1_space, monkeypatch):
+    # A real 256-image chunk at resolution 384 takes hundreds of MB of float64,
+    # so the chunk is shrunk to 2 images; the code path is the same.
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 2)
+    system = empty_system(table1_space)
+    model = add_model(system, "t", simple_trunk(system, width=4, depth=1, patch=8,
+                                                channels=1), 4, 3, resolution=384)
+    chunk_bytes = trainer.EVAL_CHUNK * 384 * 384 * 8  # one chunk, resized, float64
+    gen = np.random.default_rng(6)
+    peaks = []
+    for n in (4, 16):
+        images = gen.integers(0, 256, size=(n, 8, 8, 1), dtype=np.uint8)
+        labels = gen.integers(0, 3, size=n)
+        tracemalloc.start()
+        try:
+            evaluate(system, model, images, labels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < chunk_bytes, peaks
 
 
 def planted_system():
@@ -434,6 +472,24 @@ def reference_train_batch(images, hparams, rng):
     return (x * 2.0 - 1.0).astype(np.float32)
 
 
+def test_eval_preprocessing_matches_per_image_reference():
+    gen = np.random.default_rng(2025)
+    cases = [(c, h, w, res, n) for c in (1, 3, 4) for h, w in ((16, 16), (12, 20), (40, 9))
+             for res in (8, 32) for n in (1, 17)]
+    seen = set()
+    for c, h, w, res, n in cases:
+        images = gen.integers(0, 256, size=(n, h, w, c), dtype=np.uint8)
+        batch = preprocess_batch(images, {"resolution": res}, None, train_mode=False)
+        reference = np.stack([reference_resize(img, res, res)
+                              for img in images.astype(np.float64) / 255.0])
+        assert batch.tobytes() == (reference * 2.0 - 1.0).astype(np.float32).tobytes(), (
+            c, h, w, res, n)
+        seen.update({("c", c), ("n", n), ("square", h == w)})
+        seen.update(("up" if res > side else "down") for side in (h, w))
+    assert seen >= {("c", 1), ("c", 3), ("c", 4), ("n", 1), ("n", 17), ("square", True),
+                    ("square", False), "up", "down"}
+
+
 JITTER_AXES = ("brightness_delta", "contrast_delta", "saturation_delta", "hue_delta",
                "quality_delta")
 
@@ -460,7 +516,12 @@ def test_train_preprocessing_matches_per_image_reference(desk_space):
         seen.update(name for name in JITTER_AXES if hp[name] > 0)
         seen.update({("flip", hp["flip"]), ("res", hp["resolution"]),
                      ("area", hp["crop_area_min"]), ("aspect", hp["crop_aspect_min"]),
-                     ("no jitter", not any(hp[name] > 0 for name in JITTER_AXES))})
+                     ("no jitter", not any(hp[name] > 0 for name in JITTER_AXES)),
+                     ("mirrored mean", bool(hp["flip"]) and hp["contrast_delta"] > 0
+                      and not hp["brightness_delta"] > 0),
+                     ("4-channel hue", images.shape[3] == 4 and hp["hue_delta"] > 0),
+                     ("n", n)})
     assert seen >= set(JITTER_AXES) | {("flip", True), ("res", 16), ("res", 32),
                                        ("area", 0.05), ("aspect", 0.5),
-                                       ("no jitter", True)}
+                                       ("no jitter", True), ("mirrored mean", True),
+                                       ("4-channel hue", True), ("n", 1)}
