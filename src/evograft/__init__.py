@@ -8,8 +8,7 @@ quality score discounted by size and compute penalties clears the bar.
 Frozen blocks are never written, so settled tasks cannot be forgotten.
 """
 
-from .checkpoint import (block_digest, checkpoint_digest, load_checkpoint,
-                         save_checkpoint, system_digest)
+from .checkpoint import block_digest, load_checkpoint, save_checkpoint, system_digest
 from .data import (GenSpec, TaskDataset, TaskGenSpec, generate_synthetic_tasks,
                    load_gen_spec, load_task_dir, scan_task_dirs)
 from .evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig, MetricsSnapshot,

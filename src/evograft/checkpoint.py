@@ -8,9 +8,11 @@ float32 optimizer state. The manifest's last line, ``pack <name> <length>``,
 names the pack and how many of its bytes belong to this manifest; a later
 record of an id supersedes an earlier one, and bytes past the length are
 ignored. Random streams serialize as (seed, label, counter), so a resumed run
-continues the exact stream of the unbroken one. A load takes the manifest's
-lines only in the order ``write_manifest`` writes them, so it rejects a
-repeated singleton line, and ``checkpoint_digest`` hashes what a load reads.
+continues the exact stream of the unbroken one. ``write_manifest`` is the one
+definition of the manifest: a load takes the lines in the order it writes
+them, builds the system as it reads, and accepts the manifest only if that
+system renders back to exactly the text read, less the placement line. So
+``system_digest`` of a loaded system hashes what the load read.
 
 A system remembers, per checkpoint path, the placement it last saved or
 loaded there (``SystemState.packs``: derived state, never persisted). While
@@ -27,9 +29,10 @@ A save re-renders only the manifest lines that can change. A committed
 model's ``layers``, ``hparams`` and ``mu`` lines and each history snapshot's
 lines never change, so their text is kept in ``SystemState.rendered`` (derived
 state, never persisted, pruned to the live models and snapshots on each save).
-``write_manifest`` and ``system_digest`` render every line fresh, so a reload
-that equals the system in memory also checks that memo. Blocks whose
-iteration had ended when the checkpoint was saved load read-only (settled).
+A load's check fills that memo. ``write_manifest`` and ``system_digest``
+render every line fresh, so a reload that equals the system in memory also
+checks that memo. Blocks whose iteration had ended when the checkpoint was
+saved load read-only (settled).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -292,19 +296,13 @@ def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
     """The system the manifest lines describe, built as they are read."""
     seed, label, counter = lines.take("rng").split()
     rng = Rng(int(seed), label, int(counter))
-    s, P, F, size, compute = _fields(lines.take("score"), ("s", "P", "F", "size", "compute"))
-    if size != "1":
-        raise CheckpointError("size= must be 1: the size factor is always on")
-    if compute not in ("0", "1"):
-        raise CheckpointError(f"compute= must be 0 or 1, not {compute!r}")
+    s, P, F, _, compute = _fields(lines.take("score"), ("s", "P", "F", "size", "compute"))
     score = ScoreParams(float(s), float(P), float(F), compute == "1")
     names = ("blocks", "models", "created", "iterations")
     counters = dict(zip(names, map(int, _fields(lines.take("counters"), names))))
     for name, value in counters.items():
         if value < 0:
             raise CheckpointError(f"counter {name}= is negative: {value}")
-    if counters["created"] != counters["models"]:
-        raise CheckpointError("created= counter disagrees with models= counter")
     system = SystemState(SearchSpace([parse_axis_line(rest) for rest in lines.each("axis")]),
                          score, rng)
     system.next_block_id, system.next_model_id, _, system.iterations_done = counters.values()
@@ -326,9 +324,7 @@ def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
             block.settle()
         system.blocks[block.id] = block
     for rest in lines.each("model"):
-        mid, task, parent, created, quality, snap = rest.split()
-        if int(created) != int(mid):
-            raise CheckpointError(f"model {mid} has creation index {created}, not its id")
+        mid, task, parent, _, quality, snap = rest.split()
         if int(mid) >= system.next_model_id:
             raise CheckpointError(f"models={system.next_model_id} is not above listed id {mid}")
         layers = [(int(lid), bool(int(flag))) for lid, flag in
@@ -346,12 +342,9 @@ def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
             raise CheckpointError(f"model {mid} does not validate: {exc}") from None
     for rest in lines.each("selection"):
         mid, task, count = rest.split()
-        counts = system.selection_counts
-        if counts and (int(mid), task) <= next(reversed(counts)):
-            raise CheckpointError(f"selection {mid} {task} is listed out of order")
         if int(count) < 0:
             raise CheckpointError(f"selection {mid} {task} has a negative count {count}")
-        counts[(int(mid), task)] = int(count)
+        system.selection_counts[(int(mid), task)] = int(count)
     system.ever_trainable.update(int(rest) for rest in lines.each("evertrain"))
     if lines.key() == "position":
         seg, done = lines.take("position").split()
@@ -378,7 +371,9 @@ def load_checkpoint(path: str) -> SystemState:
     """The system saved at ``path``. The manifest is read once, a line at a
     time in the order ``write_manifest`` writes it, and the system is built
     as it is read; a line out of that order, a repeated singleton line or a
-    missing one is an error naming the manifest line."""
+    missing one is an error naming the manifest line. The system must then
+    render to exactly the manifest less its placement line; an error names
+    the first line that differs and quotes what the writer writes there."""
     try:
         with open(os.path.join(path, "manifest"), "rb") as fh:
             raw = fh.read()
@@ -391,7 +386,7 @@ def load_checkpoint(path: str) -> SystemState:
     if header != f"evograft-checkpoint {FORMAT_VERSION}":
         raise CheckpointError(f"unsupported manifest header {header!r}: "
                               f"this reader takes version {FORMAT_VERSION}")
-    _, pack_name, pack_length = _split_placement(text)
+    body, pack_name, pack_length = _split_placement(text)
     records, whole = _read_pack(path, pack_name, pack_length)
     lines = _Lines(text)
     try:
@@ -401,21 +396,16 @@ def load_checkpoint(path: str) -> SystemState:
     if whole != pack_length:
         raise CheckpointError(f"pack {pack_name} has {whole} of its {pack_length} bytes "
                               "in whole records")
+    rendered = _render(system, system.rendered)
+    if rendered != body:
+        quoted = (map(repr, manifest.split("\n")[:-1]) for manifest in (rendered, body))
+        n, written, read = next((n, *pair) for n, pair in enumerate(
+            zip_longest(*quoted, fillvalue="no line"), 1) if pair[0] != pair[1])
+        raise CheckpointError(f"manifest line {n} is not what the writer writes for the "
+                              f"system it describes: expected {written}, found {read}")
     system.packs[os.path.abspath(path)] = PackPlacement(pack_name, pack_length,
                                                         system.iterations_done, raw)
     return system
-
-
-def checkpoint_digest(path: str) -> str:
-    """SHA-256 over what a load reads: the manifest without its placement
-    line, then each loaded block's record in id order. It depends on the
-    system state only, not on the saves that made the directory."""
-    system = load_checkpoint(path)
-    body = _split_placement(system.packs[os.path.abspath(path)].manifest.decode("utf-8"))[0]
-    digest = hashlib.sha256(body.encode("utf-8"))
-    for block in system.blocks.values():
-        digest.update(_record(block))
-    return digest.hexdigest()
 
 
 def block_digest(block: LayerBlock) -> str:

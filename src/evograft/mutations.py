@@ -116,7 +116,8 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     parameters and optimizer state; everything else is shared frozen. Clone
     indices refer to the parent's ordering; top-layer removal applies after
     they are resolved. The child is registered in the block store but not
-    committed as a model.
+    committed as a model. Every check runs before the first block is added,
+    so a rejected call leaves the system as it was.
     """
     illegal = actions - {MAKE_TRAINABLE_HEAD} - set(possible_mutations(system, parent))
     if illegal:
@@ -128,6 +129,10 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     if REMOVE_TOP_LAYER in actions:
         keep = keep[:-1]
     clone_positions = {a.arg for a in actions if a.kind == CLONE}
+    parent_head = system.block(parent.head_id())
+    if parent.task == task and parent_head.d_out != num_classes:
+        raise MutationError(
+            f"parent head has {parent_head.d_out} classes, task needs {num_classes}")
 
     layers: list[tuple[int, bool]] = []
     for pos in keep:
@@ -140,12 +145,8 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
         else:
             layers.append((lid, False))
 
-    parent_head = system.block(parent.head_id())
     width = parent_head.d_in
     if parent.task == task:
-        if parent_head.d_out != num_classes:
-            raise MutationError(
-                f"parent head has {parent_head.d_out} classes, task needs {num_classes}")
         params, opt = parent_head.clone_arrays()
     else:
         params = zero_params(width, num_classes)

@@ -20,6 +20,8 @@ class ScoreParams:
     compute_factor_enabled: bool = True
 
     def __post_init__(self):
+        # floats, so an integer override is written and read back as the same value
+        self.s, self.P, self.F = float(self.s), float(self.P), float(self.F)
         self.validate()
 
     def validate(self) -> None:

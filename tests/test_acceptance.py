@@ -22,8 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from evograft.checkpoint import (block_digest, checkpoint_digest, load_checkpoint,
-                                 save_checkpoint, system_digest)
+from evograft.checkpoint import (block_digest, load_checkpoint, save_checkpoint,
+                                 system_digest)
 from evograft.data import GenSpec, TaskGenSpec, generate_synthetic_tasks, load_task_dir
 from evograft.evolution import (EvolutionConfig, SegmentSpec, _train_child,
                                 bootstrap_system, metrics_snapshot,
@@ -332,7 +332,7 @@ def test_determinism_and_persistence(pair_datasets, tmp_path):
     pa, pb = tmp_path / "a", tmp_path / "b"
     save_checkpoint(a, str(pa))
     save_checkpoint(b, str(pb))
-    assert checkpoint_digest(str(pa)) == checkpoint_digest(str(pb))
+    assert system_digest(load_checkpoint(str(pa))) == system_digest(load_checkpoint(str(pb)))
 
     half = evolved(1)
     ph = tmp_path / "half"
@@ -346,7 +346,7 @@ def test_determinism_and_persistence(pair_datasets, tmp_path):
 
     pr = tmp_path / "resumed"
     save_checkpoint(resumed, str(pr))
-    assert checkpoint_digest(str(pr)) == checkpoint_digest(str(pa))
+    assert system_digest(load_checkpoint(str(pr))) == system_digest(load_checkpoint(str(pa)))
 
     # byte-exact round trip of the resumed checkpoint
     again = tmp_path / "again"

@@ -1,16 +1,16 @@
 import os
+import re
 import shutil
 import struct
 
 import pytest
 
 from evograft import checkpoint
-from evograft.checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint,
-                                 save_checkpoint, system_digest)
+from evograft.checkpoint import CheckpointError, load_checkpoint, save_checkpoint, system_digest
 from evograft.evolution import bootstrap_system, run_task_iteration
 from evograft.mutations import apply_mutations
 from evograft.rng import Rng
-from evograft.search_space import load_builtin_space
+from evograft.search_space import format_axis_line, load_builtin_space
 
 from conftest import finetune_top_actions, make_dataset
 from test_data import tree_sha
@@ -38,7 +38,8 @@ def test_save_load_save_is_byte_identical(tmp_path):
     reloaded = load_checkpoint(str(first))
     save_checkpoint(reloaded, str(second))
     assert tree_sha(first) == tree_sha(second)
-    assert checkpoint_digest(str(first)) == checkpoint_digest(str(second))
+    assert (system_digest(load_checkpoint(str(first)))
+            == system_digest(load_checkpoint(str(second))))
 
 
 def test_load_reproduces_every_field(tmp_path):
@@ -87,14 +88,14 @@ def record(block):
 def test_truncated_pack_names_the_block(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
-    digest = checkpoint_digest(str(tmp_path))
+    digest = system_digest(load_checkpoint(str(tmp_path)))
     pack, length = placement(tmp_path)
     blob = pack.read_bytes()
     assert blob == b"".join(record(b) for b in system.blocks.values())
     assert len(blob) == length
     pack.write_bytes(blob + b"bytes past the placement length")
     assert system_digest(load_checkpoint(str(tmp_path))) == system_digest(system)
-    assert checkpoint_digest(str(tmp_path)) == digest
+    assert system_digest(load_checkpoint(str(tmp_path))) == digest
     victim = max(system.blocks)  # a fresh pack holds its records in id order
     pack.write_bytes(blob[:-4])
     with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
@@ -135,8 +136,6 @@ def test_old_layout_is_rejected_in_one_line(tmp_path):
     with pytest.raises(CheckpointError, match="pack") as err:
         load_checkpoint(str(tmp_path))
     assert "\n" not in str(err.value)
-    with pytest.raises(CheckpointError, match="pack"):
-        checkpoint_digest(str(tmp_path))
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -172,7 +171,7 @@ def test_creation_index_that_differs_from_the_id_is_rejected(tmp_path):
     wrong_model = " ".join(parts[:4] + [str(int(parts[1]) + 1)] + parts[5:])
     n = system.next_model_id
     for old, new, reason in (
-            (model_line, wrong_model, "creation index"),
+            (model_line, wrong_model, re.escape(wrong_model)),
             (f"models={n} created={n} ", f"models={n} created={n + 1} ", "created=")):
         assert text.count(old) == 1
         manifest.write_text(text.replace(old, new))
@@ -255,9 +254,8 @@ def test_manifest_that_is_not_utf8_is_rejected(tmp_path):
     raw = manifest.read_bytes()
     assert raw.count(b"datasets/t") == 1
     manifest.write_bytes(raw.replace(b"datasets/t", b"datasets/\xff"))
-    for read in (load_checkpoint, checkpoint_digest):
-        with pytest.raises(CheckpointError, match="UTF-8"):
-            read(str(tmp_path))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(str(tmp_path))
 
 
 def test_repeated_or_incomplete_lines_are_rejected(tmp_path):
@@ -288,24 +286,67 @@ def test_one_line_edits_load_or_raise_a_checkpoint_error(tmp_path):
     manifest = tmp_path / "manifest"
     lines = manifest.read_text().splitlines(keepends=True)
     assert any(line.startswith("position ") for line in lines)
-    singletons = {"evograft-checkpoint", "rng", "score", "counters", "position",
-                  "model", "layers", "hparams", "mu", "pack"}
-    ascending = {"history", "selection"}  # a repeat breaks their strict order
     edits = []
     for i, line in enumerate(lines):
-        edits.append((f"delete line {i + 1}", lines[:i] + lines[i + 1:], False))
-        edits.append((f"repeat line {i + 1}", lines[:i + 1] + lines[i:],
-                      line.split()[0] in singletons | ascending))
-        if i + 1 < len(lines):
-            edits.append((f"swap lines {i + 1} and {i + 2}",
-                          lines[:i] + [lines[i + 1], line] + lines[i + 2:], False))
-    for name, edited, must_reject in edits:
+        edits.append(("delete", i, lines[:i] + lines[i + 1:]))
+        edits.append(("repeat", i, lines[:i + 1] + lines[i:]))
+        if i + 1 < len(lines) and lines[i + 1] != line:
+            edits.append(("swap", i, lines[:i] + [lines[i + 1], line] + lines[i + 2:]))
+    deleted = []
+    for kind, i, edited in edits:
         manifest.write_text("".join(edited))
         try:
-            load_checkpoint(str(tmp_path))
+            loaded = load_checkpoint(str(tmp_path))
         except CheckpointError:
             continue
-        assert not must_reject, f"{name} loads"
+        # only a deletion loads, and only as a system the writer writes as the edited text
+        assert kind == "delete", f"{kind} at line {i + 1} loads"
+        assert checkpoint.write_manifest(loaded) == "".join(edited[:-1]), f"line {i + 1}"
+        deleted.append(lines[i].split()[0])
+    assert sorted(deleted) == ["evertrain", "historytask", "historytask", "position",
+                               "selection", "selection", "task"]
+
+
+def edit_and_load(tmp_path, old, new):
+    """Save ``evolved_system()``, replace the one ``old`` in its manifest with
+    ``new`` and load it."""
+    save_checkpoint(evolved_system(), str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    assert text.count(old) == 1
+    manifest.write_text(text.replace(old, new))
+    return load_checkpoint(str(tmp_path))
+
+
+def test_a_second_path_for_a_task_is_rejected(tmp_path):
+    line = "task t datasets/t\n"
+    with pytest.raises(CheckpointError, match=re.escape(
+            "expected 'task t elsewhere/t', found 'task t datasets/t'")):
+        edit_and_load(tmp_path, line, line + "task t elsewhere/t\n")
+
+
+def test_swapped_axis_lines_are_rejected(tmp_path):
+    system = evolved_system()
+    first, second = (f"axis {format_axis_line(axis)}\n"
+                     for axis in list(system.space.axes.values())[:2])
+    # the axes load in the swapped order, so the hparams lines come out in it too
+    with pytest.raises(CheckpointError, match=r"expected 'hparams \d+ " + second.split()[1]):
+        edit_and_load(tmp_path, first + second, second + first)
+
+
+def test_a_float_the_writer_writes_otherwise_is_rejected(tmp_path):
+    with pytest.raises(CheckpointError, match=re.escape("found 'score s=1.00 ")):
+        edit_and_load(tmp_path, "score s=1.0 ", "score s=1.00 ")
+
+
+def test_an_integer_scale_factor_reloads_to_the_same_digest(tmp_path):
+    from evograft.evolution import SegmentSpec, run_plan
+    system = evolved_system()
+    run_plan(system, [SegmentSpec("seg", ["t"], s=1)], {"t": make_dataset("t", seed=60)},
+             quick_config())
+    assert type(system.score_params.s) is float
+    save_checkpoint(system, str(tmp_path))
+    assert system_digest(load_checkpoint(str(tmp_path))) == system_digest(system)
 
 
 def test_history_and_selection_lines_must_strictly_ascend(tmp_path):
@@ -318,16 +359,19 @@ def test_history_and_selection_lines_must_strictly_ascend(tmp_path):
     selection = next(line for line in lines if line.startswith("selection "))
     first, second = lines[history[0]:history[1]], lines[history[1]:history[1] + 2]
     mid, task, count = selection.split()[1:]
+    selection_again = f"selection {mid} {task} {int(count) + 5}"
+    out_of_order = "out of .*order"
     edits = [
-        (first[0], first[0] * 2),  # a snapshot with no rows, then the real one
-        ("".join(second), "".join(second) * 2),
-        ("".join(first) + "".join(second), "".join(second) + "".join(first)),
-        (selection, selection + f"selection {mid} {task} {int(count) + 5}\n"),
+        (first[0], first[0] * 2, out_of_order),  # a snapshot with no rows, then the real one
+        ("".join(second), "".join(second) * 2, out_of_order),
+        ("".join(first) + "".join(second), "".join(second) + "".join(first), out_of_order),
+        # the later count is the one loaded, so the first line is not what is written
+        (selection, selection + selection_again + "\n", re.escape(repr(selection_again))),
     ]
-    for old, new in edits:
+    for old, new, reason in edits:
         assert text.count(old) == 1
         manifest.write_text(text.replace(old, new))
-        with pytest.raises(CheckpointError, match="out of .*order"):
+        with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(str(tmp_path))
 
 
@@ -472,7 +516,8 @@ def test_save_after_load_and_run_matches_a_fresh_save(tmp_path):
     pack, _ = placement(ckpt)
     assert os.listdir(ckpt / "blocks") == [pack.name]
     assert pack.read_bytes().startswith(before)
-    assert checkpoint_digest(str(ckpt)) == checkpoint_digest(str(fresh))
+    assert (system_digest(load_checkpoint(str(ckpt)))
+            == system_digest(load_checkpoint(str(fresh))))
     assert system_digest(load_checkpoint(str(ckpt))) == system_digest(resumed)
 
 

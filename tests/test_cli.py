@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 from evograft import checkpoint, data
-from evograft.checkpoint import checkpoint_digest, load_checkpoint
+from evograft.checkpoint import load_checkpoint, system_digest
 from evograft.cli import main
 from evograft.search_space import load_builtin_space
 
@@ -87,9 +87,9 @@ def test_full_cli_flow(tmp_path, capsys):
     assert len(system.history) == 2
 
     # a second run against the same file is a no-op
-    digest = checkpoint_digest(ckpt)
+    digest = system_digest(load_checkpoint(ckpt))
     assert main(["run", "--checkpoint", ckpt, "--segments", segments]) == 0
-    assert checkpoint_digest(ckpt) == digest
+    assert system_digest(load_checkpoint(ckpt)) == digest
 
     out = str(root / "reports")
     assert main(["report", "--checkpoint", ckpt, "--out", out]) == 0
@@ -121,7 +121,7 @@ def test_cli_resume_matches_straight_run(tmp_path, capsys):
     assert main(["run", "--checkpoint", ckpt_b, "--segments", seg_half]) == 0
     assert main(["run", "--checkpoint", ckpt_b, "--segments", seg_full_b]) == 0
 
-    assert checkpoint_digest(ckpt_a) == checkpoint_digest(ckpt_b)
+    assert system_digest(load_checkpoint(ckpt_a)) == system_digest(load_checkpoint(ckpt_b))
     capsys.readouterr()
 
 
@@ -157,13 +157,13 @@ def test_cli_resume_after_kill_at_every_save(tmp_path, monkeypatch, capsys):
     total_saves = run_killed_after(ckpt, plan, monkeypatch)
     assert total_saves == 4  # one per task iteration, then the final save
     assert load_checkpoint(ckpt).run_position == ("extend", 2)
-    straight = checkpoint_digest(ckpt)
+    straight = system_digest(load_checkpoint(ckpt))
 
     for k in range(1, total_saves + 1):
         ckpt_k, _, _ = setup_workspace(tmp_path / f"kill{k}", tasks=tasks)
         assert run_killed_after(ckpt_k, plan, monkeypatch, kill_after=k) == k
         run_killed_after(ckpt_k, plan, monkeypatch)
-        assert checkpoint_digest(ckpt_k) == straight, f"killed after save {k}"
+        assert system_digest(load_checkpoint(ckpt_k)) == straight, f"killed after save {k}"
     capsys.readouterr()
 
 
@@ -220,11 +220,11 @@ def test_add_tasks_rejects_a_different_channel_count(tmp_path, capsys):
                  "task gray classes=3 h=16 w=16 c=1 train=32 val=16 test=16\n")
     extra = str(root / "gray_tasks")
     assert main(["gen-tasks", "--spec", gray, "--seed", "6", "--out", extra]) == 0
-    before = checkpoint_digest(ckpt)
+    before = system_digest(load_checkpoint(ckpt))
     capsys.readouterr()
     assert main(["add-tasks", "--checkpoint", ckpt, "--tasks", extra]) == 1
     assert "tasks disagree on channel count: [1, 3]" in capsys.readouterr().err
-    assert checkpoint_digest(ckpt) == before
+    assert system_digest(load_checkpoint(ckpt)) == before
 
 
 def test_init_and_add_tasks_read_each_needed_split_once(tmp_path, monkeypatch, capsys):
@@ -257,18 +257,18 @@ def test_run_reads_only_the_tasks_its_plan_names(tmp_path, monkeypatch, capsys):
     assert main(["run", "--checkpoint", ckpt, "--segments", alpha_only]) == 0
     assert sorted(os.path.basename(os.path.dirname(p)) for p in reads) == ["alpha"] * 3
 
-    before = checkpoint_digest(ckpt)
+    before = system_digest(load_checkpoint(ckpt))
     capsys.readouterr()
     ghost = write(root / "ghost.txt", SEGMENTS.replace("alpha,beta", "alpha,ghost"))
     assert main(["run", "--checkpoint", ckpt, "--segments", ghost]) == 1
     err = capsys.readouterr().err
     assert "names unknown task 'ghost'" in err and len(err.strip().splitlines()) == 1
-    assert checkpoint_digest(ckpt) == before
+    assert system_digest(load_checkpoint(ckpt)) == before
 
 
 def test_run_rejects_a_bad_plan_before_its_first_iteration(tmp_path, capsys):
     ckpt, _, root = setup_workspace(tmp_path)
-    before = checkpoint_digest(ckpt)
+    before = system_digest(load_checkpoint(ckpt))
     capsys.readouterr()
     for bad, reason in (
             (SEGMENTS.replace("iterations 1", "iterations -3"), "line 6"),
@@ -283,7 +283,7 @@ def test_run_rejects_a_bad_plan_before_its_first_iteration(tmp_path, capsys):
         assert main(["run", "--checkpoint", ckpt, "--segments", plan]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err, bad
-        assert checkpoint_digest(ckpt) == before
+        assert system_digest(load_checkpoint(ckpt)) == before
 
 
 def test_failures_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):

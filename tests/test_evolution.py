@@ -558,3 +558,19 @@ def test_finetune_top_actions_shape():
     assert len(actions) == 3
     with pytest.raises(EvolutionError):
         finetune_top_actions(root, 99)
+
+
+def test_one_table1_iteration_at_the_papers_resolution_round_trips(tmp_path, table1_space):
+    from evograft.checkpoint import load_checkpoint, save_checkpoint, system_digest
+    from evograft.data import GenSpec, TaskGenSpec, generate_synthetic_tasks, load_task_dir
+    spec = GenSpec([TaskGenSpec("paper", classes=3, h=64, w=64, c=3, train=16, val=8,
+                                test=8)])
+    (task_dir,) = generate_synthetic_tasks(spec, seed=3, out_dir=str(tmp_path / "tasks"))
+    system = bootstrap_system(table1_space, seed=3, width=8, depth=2, patch=16, channels=3)
+    root = next(iter(system.models.values()))
+    assert root.hparams["resolution"] == 384
+    system.task_paths = {"paper": task_dir}
+    run_task_iteration(system, "paper", load_task_dir(task_dir), quick_config(), system.rng)
+    assert system.iterations_done == 1 and len(system.models_for("paper")) == 1
+    save_checkpoint(system, str(tmp_path / "ckpt"))
+    assert system_digest(load_checkpoint(str(tmp_path / "ckpt"))) == system_digest(system)

@@ -221,6 +221,22 @@ def test_illegal_actions_rejected(small_system):
                         {MAKE_TRAINABLE_HEAD, hparam_action("nope")}, "a", 4, rng)
 
 
+def test_rejected_head_adds_no_block():
+    from evograft.checkpoint import system_digest
+    from evograft.evolution import bootstrap_system
+    from evograft.search_space import load_builtin_space
+    system = bootstrap_system(load_builtin_space("desk"), seed=11, width=8, depth=2,
+                              patch=8, channels=3)
+    rng = Rng(22, "head")
+    child = apply_mutations(system, root_of(system), {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    system.commit_model(child)
+    before = system_digest(system)
+    with pytest.raises(MutationError, match="4 classes, task needs 3"):
+        apply_mutations(system, child, {MAKE_TRAINABLE_HEAD, clone_action(0),
+                                        clone_action(1)}, "t", 3, rng)
+    assert system_digest(system) == before
+
+
 def test_compute_factor_off_withholds_compute_actions(small_system):
     root = root_of(small_system)
     switch_compute_off(small_system)
