@@ -9,10 +9,10 @@ names the pack and how many of its bytes belong to this manifest; a later
 record of an id supersedes an earlier one, and bytes past the length are
 ignored. Random streams serialize as (seed, label, counter), so a resumed run
 continues the exact stream of the unbroken one. ``write_manifest`` is the one
-definition of the manifest: a load takes the lines in the order it writes
-them, builds the system as it reads, and accepts the manifest only if that
-system renders back to exactly the text read, less the placement line. So
-``system_digest`` of a loaded system hashes what the load read.
+definition of the manifest and of the order of its lines: a load takes the
+lines by kind, builds the system from them, and accepts the manifest only if
+that system renders back to exactly the text read, less the placement line.
+So ``system_digest`` of a loaded system hashes what the load read.
 
 A system remembers, per checkpoint path, the placement it last saved or
 loaded there (``SystemState.packs``: derived state, never persisted). While
@@ -142,7 +142,10 @@ def _render(system: SystemState, memo: dict) -> str:
 
 
 def _history_lines(snap: MetricsSnapshot) -> str:
-    lines = [f"history {snap.index} {snap.segment or '-'} {snap.task or '-'} "
+    if [snap.segment, snap.task] != f"{snap.segment} {snap.task}".split():
+        raise CheckpointError(f"history {snap.index} has a segment or task that is not one "
+                              f"word: {snap.segment!r} {snap.task!r}")
+    lines = [f"history {snap.index} {snap.segment} {snap.task} "
              f"{snap.mean_test_accuracy!r} {snap.mean_accounted_params!r} "
              f"{snap.mean_inference_flops!r}"]
     for task, (acc, params, flops) in sorted(snap.per_task.items()):
@@ -174,13 +177,13 @@ def _extend(placement: PackPlacement,
 def _split_placement(text: str) -> tuple[str, str, int]:
     """The manifest as ``write_manifest`` made it, and the pack name and
     length that its last line gives."""
-    body, _, last = text.rstrip("\n").rpartition("\n")
+    *lines, last = text.splitlines(keepends=True) or [""]
     fields = last.split()
     if (len(fields) != 3 or fields[0] != "pack" or fields[1] not in PACK_NAMES
             or not fields[2].isdecimal()):
         raise CheckpointError("manifest does not end with a 'pack <name> <length>' line; "
                               "one file per block is an older layout this reader rejects")
-    return body + "\n", fields[1], int(fields[2])
+    return "".join(lines), fields[1], int(fields[2])
 
 
 def save_checkpoint(system: SystemState, path: str) -> None:
@@ -189,7 +192,8 @@ def save_checkpoint(system: SystemState, path: str) -> None:
     length and append every block whose iteration had not ended at that save
     or load; otherwise write a fresh pack under the other name. Then replace
     the manifest in one rename, and only then remove every other file under
-    ``blocks/``. A task path that is not one line fails before any write.
+    ``blocks/``. A task path that is not one line, or a snapshot whose
+    segment or task is not one word, fails before any write.
     The manifest lines that cannot change are rendered once and then reused
     from ``system.rendered``."""
     text = _render(system, system.rendered)
@@ -253,127 +257,103 @@ def _read_pack(path: str, name: str, length: int) -> tuple[dict, int]:
     return records, offset
 
 
-class _Lines:
-    """The manifest's lines, taken one at a time in the order
-    ``write_manifest`` writes them; ``number`` is the last one looked at."""
+def _build(body: str, records: dict, pack: str, at: list) -> SystemState:
+    """The system the manifest body describes. Its lines are taken by kind,
+    in file order within a kind, and built in the order their data needs;
+    ``at[0]`` is the number of the line last taken. Where a line stands is
+    left to the render check."""
+    kinds = {}
+    for number, line in enumerate(body.splitlines()[1:], 2):
+        kind, _, rest = line.partition(" ")
+        kinds.setdefault(kind, []).append((number, rest))
 
-    def __init__(self, text: str):
-        self.lines = [line.partition(" ")[::2] for line in text.splitlines()]
-        self.number = 1  # the header, checked before the pack is read
+    def each(kind):
+        for at[0], rest in kinds.get(kind, ()):
+            yield rest
 
-    def key(self) -> str:
-        return self.lines[self.number][0]
+    def one(kind):
+        for rest in each(kind):
+            return rest
+        raise CheckpointError(f"the manifest has no {kind!r} line")
 
-    def take(self, key: str, owner: str | None = None) -> str:
-        """The rest of the next line, which must be a ``key`` line; given an
-        ``owner``, the rest after its next word, which must be ``owner``."""
-        found, rest = self.lines[self.number]
-        self.number += 1
-        if found != key:
-            raise CheckpointError(f"expected a {key!r} line, found {found!r}")
-        if owner is not None:
-            named, _, rest = rest.partition(" ")
-            if named != owner:
-                raise CheckpointError(f"{key} {named} is out of place: expected {key} {owner}")
-        return rest
-
-    def each(self, key: str, owner: str | None = None):
-        """The rest of each next line while it is a ``key`` line."""
-        while self.key() == key:
-            yield self.take(key, owner)
-
-
-def _fields(rest: str, names: tuple[str, ...]) -> list[str]:
-    """The values of a line's ``name=value`` words, which must be ``names``
-    in that order."""
-    pairs = [word.partition("=") for word in rest.split()]
-    if [name for name, _, _ in pairs] != list(names):
-        raise CheckpointError("expected the fields " + " ".join(f"{n}=" for n in names))
-    return [value for _, _, value in pairs]
-
-
-def _build(lines: _Lines, records: dict, pack: str) -> SystemState:
-    """The system the manifest lines describe, built as they are read."""
-    seed, label, counter = lines.take("rng").split()
+    seed, label, counter = one("rng").split()
     rng = Rng(int(seed), label, int(counter))
-    s, P, F, _, compute = _fields(lines.take("score"), ("s", "P", "F", "size", "compute"))
+    s, P, F, _, compute = (word.partition("=")[2] for word in one("score").split())
     score = ScoreParams(float(s), float(P), float(F), compute == "1")
-    names = ("blocks", "models", "created", "iterations")
-    counters = dict(zip(names, map(int, _fields(lines.take("counters"), names))))
-    for name, value in counters.items():
+    counters = [int(word.partition("=")[2]) for word in one("counters").split()]
+    for name, value in zip(("blocks", "models", "created", "iterations"), counters):
         if value < 0:
-            raise CheckpointError(f"counter {name}= is negative: {value}")
-    system = SystemState(SearchSpace([parse_axis_line(rest) for rest in lines.each("axis")]),
+            raise ValueError(f"counter {name}= is negative: {value}")
+    system = SystemState(SearchSpace([parse_axis_line(rest) for rest in each("axis")]),
                          score, rng)
-    system.next_block_id, system.next_model_id, _, system.iterations_done = counters.values()
-    for rest in lines.each("task"):
+    system.next_block_id, system.next_model_id, _, system.iterations_done = counters
+    for rest in each("task"):
         name, task_path = rest.split(" ", 1)
         system.task_paths[name] = task_path
-    for rest in lines.each("block"):
+    for rest in each("block"):
         bid, kind, d_in, d_out, created_by, gen = rest.split()
         if system.blocks and int(bid) <= next(reversed(system.blocks)):
-            raise CheckpointError(f"block {bid} is listed out of id order")
+            raise ValueError(f"block {bid} is listed out of id order")
         if int(bid) >= system.next_block_id:
-            raise CheckpointError(f"blocks={system.next_block_id} is not above listed id {bid}")
+            raise ValueError(f"blocks={system.next_block_id} is not above listed id {bid}")
         if int(bid) not in records:
-            raise CheckpointError(f"block {bid} has no whole record in pack {pack}")
+            raise ValueError(f"block {bid} has no whole record in pack {pack}")
         params, opt = (array.astype(np.float32) for array in records[int(bid)])
         block = LayerBlock(int(bid), kind, int(d_in), int(d_out), params, opt, created_by,
                            int(gen))
         if block.generation_tag < system.iterations_done:
             block.settle()
         system.blocks[block.id] = block
-    for rest in lines.each("model"):
+    # a model's layers, hparams and mu lines are the next of their kinds
+    layers = [[(int(lid), bool(int(flag))) for lid, flag in
+               (word.split(":") for word in rest.partition(" ")[2].split(","))]
+              for rest in each("layers")]
+    hparams = [{axis: parse_value(value) for axis, value in
+                (word.split("=", 1) for word in rest.partition(" ")[2].split(";"))}
+               for rest in each("hparams")]
+    mus = [{MutationAction.parse(action): float(value) for action, value in
+            (word.split("=", 1) for word in mu.split(";"))} if mu else {}
+           for mu in (rest.partition(" ")[2] for rest in each("mu"))]
+    for rest, *parts in zip(each("model"), layers, hparams, mus):
         mid, task, parent, _, quality, snap = rest.split()
         if int(mid) >= system.next_model_id:
-            raise CheckpointError(f"models={system.next_model_id} is not above listed id {mid}")
-        layers = [(int(lid), bool(int(flag))) for lid, flag in
-                  (word.split(":") for word in lines.take("layers", mid).split(","))]
-        hparams = {axis: parse_value(value) for axis, value in
-                   (word.split("=", 1) for word in lines.take("hparams", mid).split(";"))}
-        mu = lines.take("mu", mid)
-        mu = {MutationAction.parse(action): float(value) for action, value in
-              (word.split("=", 1) for word in mu.split(";"))} if mu else {}
+            raise ValueError(f"models={system.next_model_id} is not above listed id {mid}")
         quality, snap = (None if word == "-" else float(word) for word in (quality, snap))
         try:
-            system.commit_model(ModelSpec(int(mid), task, layers, hparams, mu,
+            system.commit_model(ModelSpec(int(mid), task, *parts,
                                           None if parent == "-" else int(parent), quality, snap))
         except (SystemError_, SpaceError) as exc:
-            raise CheckpointError(f"model {mid} does not validate: {exc}") from None
-    for rest in lines.each("selection"):
+            raise ValueError(f"model {mid} does not validate: {exc}") from None
+    for rest in each("selection"):
         mid, task, count = rest.split()
         if int(count) < 0:
-            raise CheckpointError(f"selection {mid} {task} has a negative count {count}")
+            raise ValueError(f"selection {mid} {task} has a negative count {count}")
         system.selection_counts[(int(mid), task)] = int(count)
-    system.ever_trainable.update(int(rest) for rest in lines.each("evertrain"))
-    if lines.key() == "position":
-        seg, done = lines.take("position").split()
+    system.ever_trainable.update(int(rest) for rest in each("evertrain"))
+    for rest in each("position"):
+        seg, done = rest.split()
         if int(done) < 0:
-            raise CheckpointError(f"position {seg} has a negative count {done}")
+            raise ValueError(f"position {seg} has a negative count {done}")
         system.run_position = (seg, int(done))
-    for rest in lines.each("history"):
+    rows = {}
+    for rest in each("historytask"):
+        idx, task, acc, params, flops = rest.split()
+        rows.setdefault(idx, {})[task] = (float(acc), float(params), float(flops))
+    for rest in each("history"):
         idx, seg, task, acc, params, flops = rest.split()
         if system.history and int(idx) <= system.history[-1].index:
-            raise CheckpointError(f"history {idx} is listed out of index order")
-        snap = MetricsSnapshot(int(idx), "" if seg == "-" else seg, "" if task == "-" else task,
-                               float(acc), float(params), float(flops))
-        for rest in lines.each("historytask", idx):
-            task, acc, params, flops = rest.split()
-            snap.per_task[task] = (float(acc), float(params), float(flops))
-        system.history.append(snap)
-    lines.take("pack")  # the placement line, read before the pack
-    if lines.number < len(lines.lines):
-        raise CheckpointError("the placement line is not the last line")
+            raise ValueError(f"history {idx} is listed out of index order")
+        system.history.append(MetricsSnapshot(int(idx), seg, task, float(acc), float(params),
+                                              float(flops), rows.get(idx, {})))
     return system
 
 
 def load_checkpoint(path: str) -> SystemState:
-    """The system saved at ``path``. The manifest is read once, a line at a
-    time in the order ``write_manifest`` writes it, and the system is built
-    as it is read; a line out of that order, a repeated singleton line or a
-    missing one is an error naming the manifest line. The system must then
-    render to exactly the manifest less its placement line; an error names
-    the first line that differs and quotes what the writer writes there."""
+    """The system saved at ``path``. The manifest is read once, its lines
+    taken by kind, and it loads only if the system they describe renders to
+    exactly its text less the placement line; an error names the manifest
+    line it comes from, and for a line that is not what the writer writes
+    quotes what it writes there. A missing singleton line is named by kind."""
     try:
         with open(os.path.join(path, "manifest"), "rb") as fh:
             raw = fh.read()
@@ -388,11 +368,13 @@ def load_checkpoint(path: str) -> SystemState:
                               f"this reader takes version {FORMAT_VERSION}")
     body, pack_name, pack_length = _split_placement(text)
     records, whole = _read_pack(path, pack_name, pack_length)
-    lines = _Lines(text)
+    at = [1]
     try:
-        system = _build(lines, records, pack_name)
+        system = _build(body, records, pack_name, at)
+    except CheckpointError:
+        raise
     except Exception as exc:
-        raise CheckpointError(f"manifest line {lines.number}: {exc}") from None
+        raise CheckpointError(f"manifest line {at[0]}: {exc}") from None
     if whole != pack_length:
         raise CheckpointError(f"pack {pack_name} has {whole} of its {pack_length} bytes "
                               "in whole records")

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import shutil
 import struct
@@ -307,6 +308,40 @@ def test_one_line_edits_load_or_raise_a_checkpoint_error(tmp_path):
                                "selection", "selection", "task"]
 
 
+def test_moves_two_line_deletions_and_token_edits_load_as_written_or_raise(tmp_path):
+    system = evolved_system(iterations=2)
+    system.run_position = ("seg", 2)
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    lines = manifest.read_text().splitlines(keepends=True)
+    edits = []
+    for i, line in enumerate(lines):
+        rest = lines[:i] + lines[i + 1:]
+        # a move by an odd number of places, to keep the test short; then each
+        # deletion of this line with a later one
+        edits += [rest[:j] + [line] + rest[j:] for j in range(1 - i % 2, len(lines), 2)]
+        edits += [rest[:j] + rest[j + 1:] for j in range(i, len(rest))]
+    moved_or_deleted = len(edits)
+    rng = random.Random(20)
+    words = sorted({word for line in lines for word in line.split()})
+    words += ["-", "0", "-1", "1.5", "x", ""]
+    for _ in range(300):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].rstrip("\n").split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(words)
+        edits.append(lines[:i] + [" ".join(tokens) + "\n"] + lines[i + 1:])
+    loaded = []
+    for n, edited in enumerate(edits):
+        manifest.write_text("".join(edited))
+        try:
+            system = load_checkpoint(str(tmp_path))
+        except CheckpointError:
+            continue
+        assert checkpoint.write_manifest(system) == "".join(edited[:-1]), f"edit {n}"
+        loaded.append(n)
+    assert len(edits) == moved_or_deleted + 300 and 0 < len(loaded) < len(edits)
+
+
 def edit_and_load(tmp_path, old, new):
     """Save ``evolved_system()``, replace the one ``old`` in its manifest with
     ``new`` and load it."""
@@ -387,6 +422,32 @@ def test_blocks_of_ended_iterations_load_settled(tmp_path):
     with pytest.raises(ValueError, match="read-only"):
         loaded.blocks[frozen[0]].params[0] = 0.0
     loaded.blocks[child.trainable_ids()[0]].params[0] = 0.0
+
+
+def test_a_segment_and_task_named_dash_reload_as_themselves(tmp_path):
+    from evograft.evolution import SegmentSpec, run_plan
+    from evograft.reports import emit_reports
+    system = bootstrap_system(load_builtin_space("desk"), seed=21, width=8, depth=3,
+                              patch=8, channels=3)
+    run_plan(system, [SegmentSpec("-", ["-"])], {"-": make_dataset("-", seed=60)},
+             quick_config())
+    save_checkpoint(system, str(tmp_path / "ckpt"))
+    loaded = load_checkpoint(str(tmp_path / "ckpt"))
+    assert (loaded.history[0].segment, loaded.history[0].task) == ("-", "-")
+    timelines = []
+    for name, which in (("memory", system), ("loaded", loaded)):
+        emit_reports(which, which.history, str(tmp_path / name))
+        timelines.append((tmp_path / name / "timeline.csv").read_text())
+    assert timelines[0] == timelines[1]
+
+
+def test_a_snapshot_whose_segment_or_task_is_not_one_word_is_not_saved(tmp_path):
+    for segment, task in (("", "t"), ("seg", ""), ("a b", "t")):
+        system = evolved_system()
+        system.history[0].segment, system.history[0].task = segment, task
+        with pytest.raises(CheckpointError, match="history 1 has a segment or task"):
+            save_checkpoint(system, str(tmp_path))
+        assert not (tmp_path / "manifest").exists()
 
 
 def test_every_save_matches_a_fresh_manifest(tmp_path):
