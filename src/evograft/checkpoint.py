@@ -181,8 +181,8 @@ def _split_placement(text: str) -> tuple[str, str, int]:
     fields = last.split()
     if (len(fields) != 3 or fields[0] != "pack" or fields[1] not in PACK_NAMES
             or not fields[2].isdecimal()):
-        raise CheckpointError("manifest does not end with a 'pack <name> <length>' line; "
-                              "one file per block is an older layout this reader rejects")
+        raise CheckpointError(f"the manifest's last line {last!r} is not a "
+                              "'pack <name> <length>' line")
     return "".join(lines), fields[1], int(fields[2])
 
 

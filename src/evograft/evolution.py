@@ -15,9 +15,9 @@ The mode is ``system.score_params.compute_factor_enabled`` (``compute=`` in a
 checkpoint), which the mutation functions read. A segment bundles overrides
 (mode, scale factor, recalibration, counts) with a round-robin block of task
 iterations, emitting a metrics snapshot after every iteration; one without
-``mode`` keeps the system's mode. ``SegmentSpec`` is frozen and checks its own
-fields. A plan is a list of uniquely labelled segments run in order by
-``run_plan``, which records ``(segment label, iterations done)`` in
+``mode`` keeps the system's mode. ``SegmentSpec`` is frozen and checks every
+field when it is built. A plan is a list of uniquely labelled segments run in
+order by ``run_plan``, which records ``(segment label, iterations done)`` in
 ``system.run_position`` after every iteration; rerunning the plan on a
 checkpoint saved at any iteration continues exactly where it stopped.
 """
@@ -81,6 +81,22 @@ class SegmentSpec:
             raise EvolutionError(f"unknown mode {self.mode!r}")
         if self.iterations < 0:
             raise EvolutionError("iterations must not be negative")
+        if self.s is not None:
+            ScoreParams(s=self.s)
+        if self.recalibrate is not None:
+            # calibrate sets P and F to the multiplier times positive cost means
+            ScoreParams(P=self.recalibrate, F=self.recalibrate)
+        self.config(EvolutionConfig())
+
+    def config(self, base_cfg: EvolutionConfig) -> EvolutionConfig:
+        """``base_cfg`` with this segment's count and budget overrides."""
+        overrides = {key: value for key, value in (
+            ("generations", self.generations),
+            ("children_per_generation", self.children),
+            ("train_cycles", self.cycles)) if value is not None}
+        if self.samples_cap is not None:
+            overrides["budget"] = replace(base_cfg.budget, samples_cap=self.samples_cap)
+        return replace(base_cfg, **overrides)
 
 
 @dataclass
@@ -287,29 +303,11 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
                            mean_inference_flops=mean_flops, per_task=per_task)
 
 
-def _segment_config(segment: SegmentSpec, datasets: dict[str, TaskDataset],
-                    base_cfg: EvolutionConfig) -> EvolutionConfig:
-    """The config the segment's iterations run under.
-
-    Raises on a task missing from ``datasets`` and on any override that
-    ``EvolutionConfig``, ``TrainBudget`` or ``ScoreParams`` rejects, without
-    touching the system, so a whole plan can be checked before it runs.
-    """
+def _check_tasks(segment: SegmentSpec, datasets: dict[str, TaskDataset]) -> None:
+    """Raise on a task the segment names that ``datasets`` lacks."""
     for name in segment.tasks:
         if name not in datasets:
             raise EvolutionError(f"segment {segment.label!r} names unknown task {name!r}")
-    if segment.s is not None:
-        ScoreParams(s=segment.s)
-    if segment.recalibrate is not None:
-        # calibrate sets P and F to the multiplier times positive cost means
-        ScoreParams(P=segment.recalibrate, F=segment.recalibrate)
-    overrides = {key: value for key, value in (
-        ("generations", segment.generations),
-        ("children_per_generation", segment.children),
-        ("train_cycles", segment.cycles)) if value is not None}
-    if segment.samples_cap is not None:
-        overrides["budget"] = replace(base_cfg.budget, samples_cap=segment.samples_cap)
-    return replace(base_cfg, **overrides)
 
 
 def run_segment(system: SystemState, segment: SegmentSpec,
@@ -323,7 +321,8 @@ def run_segment(system: SystemState, segment: SegmentSpec,
     recalibration is not idempotent. ``on_iteration`` is called with each
     fresh snapshot.
     """
-    cfg = _segment_config(segment, datasets, base_cfg)
+    _check_tasks(segment, datasets)
+    cfg = segment.config(base_cfg)
     if start == 0:
         if segment.mode is not None:
             system.score_params = replace(
@@ -355,13 +354,14 @@ def run_plan(system: SystemState, segments: list[SegmentSpec],
     are skipped, and the named one resumes after its recorded iterations. The
     position advances before ``on_iteration(snap)`` is called, so a
     checkpoint saved there resumes after that iteration. Rerunning a finished
-    plan does nothing. Every segment, and the uniqueness of the labels the
-    position names, is checked before the first iteration, so a bad plan
-    fails without changing the system.
+    plan does nothing. A segment checks its own fields when it is built; the
+    tasks each segment names and the uniqueness of the labels the position
+    names are checked before the first iteration, so a bad plan fails without
+    changing the system.
     """
     labels = [s.label for s in segments]
     for segment in segments:
-        _segment_config(segment, datasets, base_cfg)
+        _check_tasks(segment, datasets)
         if labels.count(segment.label) > 1:
             raise EvolutionError(f"segment label {segment.label!r} is repeated")
     first, done = 0, 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rng import Rng
-from .search_space import MU_INIT, RESOLUTION_AXIS, mu_neighbors, on_mu_grid
+from .search_space import MU_INIT, RESOLUTION_AXIS, mu_neighbors
 from .system import HEAD, MIN_HIDDEN_DEPTH, ModelSpec, SystemState, zero_params
 
 CLONE = "clone"
@@ -66,17 +66,17 @@ def hparam_action(axis: str) -> MutationAction:
 def possible_mutations(system: SystemState, model: ModelSpec) -> list[MutationAction]:
     """Enumerate the optional actions for spawning a child of ``model``.
 
-    The unconditional new-head action is not listed. The compute-affecting
-    actions (top-layer removal, resolution change) are listed only while
-    ``system.score_params.compute_factor_enabled`` is on.
+    The unconditional new-head action is not listed, nor is a step on an axis
+    with one value. Top-layer removal and resolution steps change compute and
+    are listed only while ``system.score_params.compute_factor_enabled`` is on.
     """
     compute = system.score_params.compute_factor_enabled
     actions = [clone_action(i) for i in range(len(model.layers) - 1)]
     if compute and model.hidden_count() > MIN_HIDDEN_DEPTH:
         actions.append(REMOVE_TOP_LAYER)
-    for axis in system.space.axis_names():
-        if compute or axis != RESOLUTION_AXIS:
-            actions.append(hparam_action(axis))
+    for name, axis in system.space.axes.items():
+        if len(axis.values) > 1 and (compute or name != RESOLUTION_AXIS):
+            actions.append(hparam_action(name))
     return actions
 
 
@@ -99,8 +99,6 @@ def inherit_mu(parent_mu: dict, child_actions: list[MutationAction],
     table = {}
     for action in child_actions:
         value = parent_mu.get(action, MU_INIT)
-        if not on_mu_grid(value):
-            raise MutationError(f"mu value {value!r} for {action.key()} is off-grid")
         if rng.uniform() < value:
             value = rng.choice(mu_neighbors(value))
         table[action] = value

@@ -22,13 +22,14 @@ so child training may overlap reads of settled ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import Rng
-from .search_space import RESOLUTION_AXIS, SearchSpace
+from .search_space import RESOLUTION_AXIS, SearchSpace, on_mu_grid
 
 if TYPE_CHECKING:
     from .checkpoint import PackPlacement
@@ -193,6 +194,10 @@ class SystemState:
         if any(task != model.task for task in self.refs.get(head, ())):
             raise SystemError_(f"model {model.id} head block {head} is shared across tasks")
         self.space.validate_config(model.hparams)
+        for action, value in model.mu.items():
+            if not on_mu_grid(value):
+                raise SystemError_(f"model {model.id} mu value {value!r} for "
+                                   f"{action.key()} is off-grid")
 
     def commit_model(self, model: ModelSpec) -> None:
         if self.models and model.id <= next(reversed(self.models)):
@@ -273,31 +278,18 @@ def embedding_flops(block: LayerBlock, resolution: int) -> int:
 
 
 def patch_count(block: LayerBlock, resolution: int) -> int:
-    patch = _patch_side(block, _infer_channels(block))
-    if resolution % patch != 0:
-        raise SystemError_(
-            f"resolution {resolution} is not divisible by patch side {patch}")
-    return (resolution // patch) ** 2
-
-
-def _infer_channels(block: LayerBlock) -> int:
-    for c in (3, 1, 4, 2):
-        if block.d_in % c == 0 and _is_square(block.d_in // c):
-            return c
-    raise SystemError_(f"cannot infer channel count from embedding d_in={block.d_in}")
-
-
-def _patch_side(block: LayerBlock, channels: int) -> int:
-    per_channel = block.d_in // channels
-    if block.d_in % channels != 0 or not _is_square(per_channel):
-        raise SystemError_(
-            f"embedding d_in={block.d_in} does not factor into {channels} channels")
-    return int(round(per_channel ** 0.5))
-
-
-def _is_square(n: int) -> bool:
-    r = int(round(n ** 0.5))
-    return r * r == n
+    """Patches per image. The patch side is guessed from ``d_in``: that of the
+    first of 3, 1, 4 and 2 channels that gives a square patch. So a 4-channel
+    patch of side p is taken for a 1-channel patch of side 2p."""
+    for channels in (3, 1, 4, 2):
+        side = math.isqrt(block.d_in // channels)
+        if side * side * channels == block.d_in:
+            break
+    else:
+        raise SystemError_(f"cannot infer channel count from embedding d_in={block.d_in}")
+    if resolution % side != 0:
+        raise SystemError_(f"resolution {resolution} is not divisible by patch side {side}")
+    return (resolution // side) ** 2
 
 
 # -- construction ------------------------------------------------------------

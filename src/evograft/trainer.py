@@ -178,11 +178,9 @@ def _patchify(batch: np.ndarray, d_in: int):
     b, res_h, res_w, channels = batch.shape
     if res_h != res_w:
         raise TrainerError("expected square input")
-    if d_in % channels != 0:
-        raise TrainerError(f"embedding d_in={d_in} not divisible by channels={channels}")
-    side = int(round(math.sqrt(d_in // channels)))
+    side = math.isqrt(d_in // channels)
     if side * side * channels != d_in:
-        raise TrainerError(f"embedding d_in={d_in} is not a square patch")
+        raise TrainerError(f"embedding d_in={d_in} is not a square patch of {channels} channels")
     if res_h % side != 0:
         raise TrainerError(f"resolution {res_h} not divisible by patch side {side}")
     n = res_h // side

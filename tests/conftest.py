@@ -20,8 +20,8 @@ from evograft.evolution import EvolutionError, bootstrap_system
 from evograft.mutations import MAKE_TRAINABLE_HEAD, clone_action
 from evograft.rng import Rng
 from evograft.scoring import ScoreParams
-from evograft.search_space import (SearchSpace, format_axis_line, load_builtin_space,
-                                   parse_space)
+from evograft.search_space import (HparamAxis, SearchSpace, format_axis_line,
+                                   load_builtin_space, parse_space)
 from evograft.system import EMBEDDING, HEAD, HIDDEN, ModelSpec, SystemState
 
 
@@ -82,6 +82,12 @@ resolution | 8,16 | 1
 def tiny_space() -> SearchSpace:
     """Desk axes with resolutions 8/16, pairs with patch=4 or patch=8 backbones."""
     return parse_space(TINY_SPACE_TEXT)
+
+
+def pinned_space(space: SearchSpace, axis: str = "momentum") -> SearchSpace:
+    """``space`` with ``axis`` pinned to its default: an axis of one value."""
+    return SearchSpace([HparamAxis(a.name, (a.default,), 0) if a.name == axis else a
+                        for a in space.axes.values()])
 
 
 def empty_system(space: SearchSpace | None = None, seed: int = 3) -> SystemState:

@@ -139,6 +139,16 @@ def test_old_layout_is_rejected_in_one_line(tmp_path):
     assert "\n" not in str(err.value)
 
 
+def test_a_blank_line_after_the_placement_line_is_named(tmp_path):
+    save_checkpoint(evolved_system(), str(tmp_path))
+    manifest = tmp_path / "manifest"
+    manifest.write_text(manifest.read_text() + "\n")
+    with pytest.raises(CheckpointError, match=re.escape(
+            r"last line '\n' is not a 'pack <name> <length>' line")) as err:
+        load_checkpoint(str(tmp_path))
+    assert "older" not in str(err.value)
+
+
 def test_version_mismatch_rejected(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))
@@ -351,6 +361,15 @@ def edit_and_load(tmp_path, old, new):
     assert text.count(old) == 1
     manifest.write_text(text.replace(old, new))
     return load_checkpoint(str(tmp_path))
+
+
+def test_a_mu_value_off_the_grid_is_rejected_at_its_model_line(tmp_path):
+    save_checkpoint(evolved_system(), str(tmp_path))
+    lines = (tmp_path / "manifest").read_text().splitlines()
+    number = lines.index("model 0 root - 0 - -") + 1
+    with pytest.raises(CheckpointError, match=f"manifest line {number}: model 0 does not "
+                       "validate: .*mu value 0.21 for clone:0 is off-grid"):
+        edit_and_load(tmp_path, "mu 0 clone:0=0.2;", "mu 0 clone:0=0.21;")
 
 
 def test_a_second_path_for_a_task_is_rejected(tmp_path):

@@ -8,7 +8,7 @@ from evograft.checkpoint import load_checkpoint, system_digest
 from evograft.cli import main
 from evograft.search_space import load_builtin_space
 
-from conftest import space_text
+from conftest import pinned_space, space_text
 
 GEN_SPEC = """\
 task alpha classes=3 h=16 w=16 c=3 train=48 val=24 test=24 noise=0.05
@@ -62,10 +62,10 @@ def write(path, text):
     return str(path)
 
 
-def setup_workspace(tmp_path, seed=7, tasks=None):
+def setup_workspace(tmp_path, seed=7, tasks=None, space=None):
     os.makedirs(tmp_path, exist_ok=True)
     spec = write(tmp_path / "gen.spec", GEN_SPEC)
-    space = write(tmp_path / "desk.axes", space_text(load_builtin_space("desk")))
+    space = write(tmp_path / "space.axes", space_text(space or load_builtin_space("desk")))
     if tasks is None:
         tasks = str(tmp_path / "tasks")
         assert main(["gen-tasks", "--spec", spec, "--seed", "5", "--out", tasks]) == 0
@@ -284,6 +284,17 @@ def test_run_rejects_a_bad_plan_before_its_first_iteration(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err, bad
         assert system_digest(load_checkpoint(ckpt)) == before
+
+
+def test_a_one_value_axis_passes_init_and_run(tmp_path, capsys):
+    ckpt, _, root = setup_workspace(tmp_path, space=pinned_space(load_builtin_space("desk")))
+    plan = write(root / "plan.txt", SEGMENTS.replace("iterations 1", "iterations 2")
+                 .replace("children 1", "children 3"))
+    assert main(["run", "--checkpoint", ckpt, "--segments", plan]) == 0
+    system = load_checkpoint(ckpt)
+    assert system.iterations_done == 4
+    assert {model.hparams["momentum"] for model in system.models.values()} == {0.9}
+    capsys.readouterr()
 
 
 def test_failures_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):

@@ -11,11 +11,12 @@ from evograft.evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig,
                                 parent_acceptance_probability, parse_segments,
                                 run_generation, run_plan, run_segment,
                                 run_task_iteration, sample_parent)
-from evograft.mutations import MAKE_TRAINABLE_HEAD, apply_mutations, clone_action
+from evograft.mutations import (MAKE_TRAINABLE_HEAD, apply_mutations, clone_action,
+                                hparam_action, possible_mutations)
 from evograft.rng import Rng
 from evograft.trainer import TrainBudget, evaluate
 
-from conftest import finetune_top_actions, make_dataset
+from conftest import finetune_top_actions, make_dataset, pinned_space
 
 
 def quick_config(**kw):
@@ -451,7 +452,14 @@ def test_parse_segments_rejects_garbage():
                          ("segment a\n\nmode nosuch\n", "line 3: .*unknown mode 'nosuch'"),
                          ("segment a\niterations -1\n", "line 2: .*must not be negative"),
                          ("segment a\ncycles two\n", "line 2: bad value for 'cycles'"),
-                         ("segment a\nspeed 3\n", "^line 2: unknown directive 'speed'$")):
+                         ("segment a\nspeed 3\n", "^line 2: unknown directive 'speed'$"),
+                         ("segment a\ntasks b\ns 1.5\n", "line 3: .*scale factor s"),
+                         ("segment a\nrecalibrate 0\n", "line 2: .*parameter scale P"),
+                         ("segment a\ngenerations 0\n", "line 2: .*counts must be positive"),
+                         ("segment a\nchildren -1\n", "line 2: .*counts must be positive"),
+                         ("segment a\n\ncycles 0\n", "line 3: .*counts must be positive"),
+                         ("segment a\nsamples_cap -5\n",
+                          "line 2: .*budget fields must be positive")):
         with pytest.raises(EvolutionError, match=reason):
             parse_segments(text)
 
@@ -463,6 +471,15 @@ def test_segment_spec_checks_itself_and_is_frozen():
         SegmentSpec(label="x", iterations=-1)
     with pytest.raises(EvolutionError, match="not whitespace-free"):
         SegmentSpec(label="a b")
+    for overrides, reason in (({"s": 2.0}, "scale factor s"),
+                              ({"s": 0}, "scale factor s"),
+                              ({"recalibrate": -1.0}, "parameter scale P"),
+                              ({"generations": 0}, "counts must be positive"),
+                              ({"children": 0}, "counts must be positive"),
+                              ({"cycles": -2}, "counts must be positive"),
+                              ({"samples_cap": -5}, "budget fields must be positive")):
+        with pytest.raises(ValueError, match=reason):
+            SegmentSpec(label="x", **overrides)
     segment = SegmentSpec(label="x", mode=MODE_MUNET)
     with pytest.raises(FrozenInstanceError):
         segment.mode = "bogus"
@@ -545,6 +562,20 @@ def test_run_plan_rejects_repeated_labels_before_any_iteration():
             run_plan(system, plan, datasets, quick_config())
         assert system_digest(system) == before
         assert system.history == [] and system.run_position is None
+
+
+def test_a_one_value_axis_pins_its_hparam_and_the_plan_runs(desk_space):
+    system = bootstrap_system(pinned_space(desk_space), seed=11, width=8, depth=3,
+                              patch=8, channels=3)
+    datasets = {"a": make_dataset("a", seed=52), "b": make_dataset("b", seed=53)}
+    run_plan(system, [SegmentSpec("grow", ["a", "b"], iterations=2, generations=2,
+                                  children=2)], datasets, quick_config())
+    assert system.iterations_done == 4
+    pinned = hparam_action("momentum")
+    for model in system.models.values():
+        assert model.hparams["momentum"] == 0.9
+        assert pinned not in model.mu
+        assert pinned not in possible_mutations(system, model)
 
 
 def test_finetune_top_actions_shape():

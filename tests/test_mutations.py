@@ -12,6 +12,8 @@ from evograft.rng import Rng
 from evograft.search_space import MU_INIT, on_mu_grid
 from evograft.system import ROOT_TASK
 
+from conftest import pinned_space
+
 def root_of(system):
     return next(m for m in system.models.values() if m.task == ROOT_TASK)
 
@@ -210,15 +212,20 @@ def test_child_mu_covers_child_actions(small_system):
     assert all(on_mu_grid(v) for v in child.mu.values())
 
 
-def test_illegal_actions_rejected(small_system):
-    root = root_of(small_system)
+def test_illegal_actions_rejected(small_system, desk_space):
+    from evograft.checkpoint import system_digest
+    from evograft.evolution import bootstrap_system
+    pinned = bootstrap_system(pinned_space(desk_space), seed=11, width=8, depth=3,
+                              patch=8, channels=3)
     rng = Rng(20, "bad")
-    with pytest.raises(MutationError):
-        apply_mutations(small_system, root,
-                        {MAKE_TRAINABLE_HEAD, clone_action(99)}, "a", 4, rng)
-    with pytest.raises(MutationError):
-        apply_mutations(small_system, root,
-                        {MAKE_TRAINABLE_HEAD, hparam_action("nope")}, "a", 4, rng)
+    for system, action in ((small_system, clone_action(99)),
+                           (small_system, hparam_action("nope")),
+                           (pinned, hparam_action("momentum"))):
+        before = (system_digest(system), system.next_block_id, system.next_model_id)
+        with pytest.raises(MutationError, match=action.key()):
+            apply_mutations(system, root_of(system),
+                            {MAKE_TRAINABLE_HEAD, clone_action(0), action}, "a", 4, rng)
+        assert (system_digest(system), system.next_block_id, system.next_model_id) == before
 
 
 def test_rejected_head_adds_no_block():

@@ -231,6 +231,21 @@ def test_validate_model_rejects_bad_layer_order():
         system.commit_model(bad)
 
 
+def test_commit_rejects_a_mu_value_off_the_grid():
+    from evograft.mutations import clone_action
+    system = empty_system()
+    trunk = simple_trunk(system)
+    head = add_dense_block(system, HEAD, 4, 2, task="a")
+    layers = [(bid, False) for bid in trunk] + [(head.id, True)]
+    for value in (0.21, 0.0, 0.32):
+        model = ModelSpec(id=system.new_model_id(), task="a", layers=layers,
+                          hparams=system.space.default_config(),
+                          mu={clone_action(0): 0.2, clone_action(1): value})
+        with pytest.raises(SystemError_, match=f"mu value {value} for clone:1 is off-grid"):
+            system.commit_model(model)
+    assert not system.models
+
+
 def test_commit_rejects_an_id_not_above_the_last_committed():
     system = empty_system()
     trunk = simple_trunk(system)
