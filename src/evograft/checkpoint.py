@@ -27,12 +27,12 @@ stray pack, which the next save cuts or removes.
 
 A save re-renders only the manifest lines that can change. A committed
 model's ``layers``, ``hparams`` and ``mu`` lines and each history snapshot's
-lines never change, so their text is kept in ``SystemState.rendered`` (derived
-state, never persisted, pruned to the live models and snapshots on each save).
-A load's check fills that memo. ``write_manifest`` and ``system_digest``
-render every line fresh, so a reload that equals the system in memory also
-checks that memo. Blocks whose iteration had ended when the checkpoint was
-saved load read-only (settled).
+lines never change, so their text is kept on the model or snapshot itself
+(``manifest_text``: derived, never persisted, gone with its owner). A load's
+check fills it. ``write_manifest`` and ``system_digest`` render every line
+fresh, so a reload that equals the system in memory also checks the kept
+text. Blocks whose iteration had ended when the checkpoint was saved load
+read-only (settled).
 """
 
 from __future__ import annotations
@@ -77,23 +77,21 @@ class PackPlacement:
 
 def write_manifest(system: SystemState) -> str:
     """The manifest without its placement line, every line rendered fresh."""
-    return _render(system, {})
+    return _render(system, reuse=False)
 
 
-def _render(system: SystemState, memo: dict) -> str:
+def _render(system: SystemState, reuse: bool) -> str:
     """The manifest without its placement line. A committed model's
     ``layers``, ``hparams`` and ``mu`` lines and a history snapshot's lines
-    never change, so they come from ``memo`` where it holds them for the same
-    object; ``memo`` is left holding exactly those of the live models and
-    snapshots."""
-    kept = {}
+    never change; with ``reuse`` each owner's text is rendered once and then
+    taken from its ``manifest_text``."""
 
-    def memoized(key, owner, render) -> str:
-        hit = memo.get(key)
-        if hit is None or hit[0] is not owner:
-            hit = (owner, render(owner))
-        kept[key] = hit
-        return hit[1]
+    def text(owner, render, *args) -> str:
+        if not reuse:
+            return render(owner, *args)
+        if owner.manifest_text is None:
+            owner.manifest_text = render(owner, *args)
+        return owner.manifest_text
 
     lines = [f"evograft-checkpoint {FORMAT_VERSION}"]
     seed, label, counter = system.rng.state()
@@ -113,20 +111,11 @@ def _render(system: SystemState, memo: dict) -> str:
         lines.append(f"block {b.id} {b.kind} {b.d_in} {b.d_out} "
                      f"{b.created_by_task} {b.generation_tag}")
     axis_names = system.space.axis_names()
-
-    def model_lines(m: ModelSpec) -> str:
-        layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
-        hparams = ";".join(f"{axis}={format_value(m.hparams[axis])}" for axis in axis_names)
-        mu = ";".join(f"{a.key()}={v!r}" for a, v in
-                      sorted(m.mu.items(), key=lambda kv: kv[0].key()))
-        return "\n".join((f"layers {m.id} {layers}", f"hparams {m.id} {hparams}",
-                          f"mu {m.id} {mu}"))
-
     for m in system.models.values():
         parent = "-" if m.parent_id is None else str(m.parent_id)
         quality, snap = ("-" if v is None else repr(v) for v in (m.quality, m.score_snapshot))
         lines.append(f"model {m.id} {m.task} {parent} {m.id} {quality} {snap}")
-        lines.append(memoized(("model", m.id), m, model_lines))
+        lines.append(text(m, _model_lines, axis_names))
     for (mid, task) in sorted(system.selection_counts):
         lines.append(f"selection {mid} {task} {system.selection_counts[(mid, task)]}")
     for bid in sorted(system.ever_trainable):
@@ -135,10 +124,17 @@ def _render(system: SystemState, memo: dict) -> str:
         seg, done = system.run_position
         lines.append(f"position {seg} {done}")
     for snap in system.history:
-        lines.append(memoized(("history", id(snap)), snap, _history_lines))
-    memo.clear()
-    memo.update(kept)
+        lines.append(text(snap, _history_lines))
     return "\n".join(lines) + "\n"
+
+
+def _model_lines(m: ModelSpec, axis_names: list[str]) -> str:
+    layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
+    hparams = ";".join(f"{axis}={format_value(m.hparams[axis])}" for axis in axis_names)
+    mu = ";".join(f"{a.key()}={v!r}" for a, v in
+                  sorted(m.mu.items(), key=lambda kv: kv[0].key()))
+    return "\n".join((f"layers {m.id} {layers}", f"hparams {m.id} {hparams}",
+                      f"mu {m.id} {mu}"))
 
 
 def _history_lines(snap: MetricsSnapshot) -> str:
@@ -193,10 +189,10 @@ def save_checkpoint(system: SystemState, path: str) -> None:
     or load; otherwise write a fresh pack under the other name. Then replace
     the manifest in one rename, and only then remove every other file under
     ``blocks/``. A task path that is not one line, or a snapshot whose
-    segment or task is not one word, fails before any write.
-    The manifest lines that cannot change are rendered once and then reused
-    from ``system.rendered``."""
-    text = _render(system, system.rendered)
+    segment or task is not one word, fails before any write. The manifest
+    lines that cannot change are rendered once and then reused from their
+    model or snapshot."""
+    text = _render(system, reuse=True)
     blocks_dir = os.path.join(path, "blocks")
     os.makedirs(blocks_dir, exist_ok=True)
     manifest_path = os.path.join(path, "manifest")
@@ -378,7 +374,7 @@ def load_checkpoint(path: str) -> SystemState:
     if whole != pack_length:
         raise CheckpointError(f"pack {pack_name} has {whole} of its {pack_length} bytes "
                               "in whole records")
-    rendered = _render(system, system.rendered)
+    rendered = _render(system, reuse=True)
     if rendered != body:
         quoted = (map(repr, manifest.split("\n")[:-1]) for manifest in (rendered, body))
         n, written, read = next((n, *pair) for n, pair in enumerate(

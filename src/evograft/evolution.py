@@ -108,6 +108,9 @@ class MetricsSnapshot:
     mean_accounted_params: float
     mean_inference_flops: float
     per_task: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    # the text of its manifest lines once a save or load has rendered it;
+    # derived, never persisted, left out of comparisons
+    manifest_text: str | None = field(default=None, compare=False, repr=False)
 
 
 def parent_acceptance_probability(selections: int) -> float:
@@ -249,11 +252,6 @@ def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
     if dataset.name != task:
         raise EvolutionError(f"dataset {dataset.name!r} does not match task {task!r}")
     active = system.models_for(task)
-    val_images, val_labels = dataset.split("val")
-    for model in active:
-        if model.quality is None:
-            model.quality = evaluate(system, model, val_images, val_labels)
-
     for _ in range(cfg.generations):
         run_generation(system, task, dataset, cfg, active, rng)
 
@@ -276,9 +274,9 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
     models in the system.
 
     A model whose blocks are all settled cannot change, so its test accuracy
-    is kept in ``system.test_accuracy`` with the dataset it was measured on
-    and reused while the same dataset object is passed; after an iteration
-    only the iterated task's best can be new and need an evaluation."""
+    is kept on the model with the dataset it was measured on and reused while
+    the same dataset object is passed; after an iteration only the iterated
+    task's best can be new and need an evaluation."""
     per_task = {}
     for name in task_subset:
         models = system.models_for(name)
@@ -286,13 +284,12 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
             continue
         best = _best_first(system, models)[0]
         dataset = datasets[name]
-        memo = system.test_accuracy.get(best.id)
-        if memo is not None and memo[0] is dataset:
-            acc = memo[1]
+        if best.test_accuracy is not None and best.test_accuracy[0] is dataset:
+            acc = best.test_accuracy[1]
         else:
             acc = evaluate(system, best, *dataset.split("test"))
             if all(block.settled for block in system.model_blocks(best)):
-                system.test_accuracy[best.id] = (dataset, acc)
+                best.test_accuracy = (dataset, acc)
         per_task[name] = (acc, system.accounted_params(best),
                           float(system.inference_flops(best)))
     mean_acc = (sum(v[0] for v in per_task.values()) / len(per_task)) if per_task else 0.0

@@ -23,7 +23,7 @@ so child training may overlap reads of settled ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,6 +110,12 @@ class ModelSpec:
     parent_id: int | None = None
     quality: float | None = None
     score_snapshot: float | None = None
+    # Derived, never persisted, not compared: the text of its layers, hparams
+    # and mu manifest lines, which assumes the model's own system (its axis
+    # order), and its (test dataset, accuracy) once its blocks are settled.
+    manifest_text: str | None = field(default=None, compare=False, repr=False)
+    test_accuracy: tuple["TaskDataset", float] | None = field(
+        default=None, compare=False, repr=False)
 
     def layer_ids(self) -> list[int]:
         return [lid for lid, _ in self.layers]
@@ -143,14 +149,9 @@ class SystemState:
         self.next_block_id = 0
         self.next_model_id = 0
         self.iterations_done = 0
-        # Derived state, never persisted:
-        # checkpoint path -> the pack placement last saved or loaded there
+        # Derived state, never persisted: checkpoint path -> the pack placement
+        # last saved or loaded there (cached text and accuracies are on their owners)
         self.packs: dict[str, "PackPlacement"] = {}
-        # manifest text that cannot change, kept by the checkpoint writer
-        self.rendered: dict = {}
-        # model id -> (test dataset, test accuracy) of a model whose blocks
-        # are all settled, kept by metrics_snapshot
-        self.test_accuracy: dict[int, tuple["TaskDataset", float]] = {}
 
     # -- block and model lifecycle -------------------------------------------
 
@@ -194,7 +195,13 @@ class SystemState:
         if any(task != model.task for task in self.refs.get(head, ())):
             raise SystemError_(f"model {model.id} head block {head} is shared across tasks")
         self.space.validate_config(model.hparams)
+        # the actions a model could ever take, whatever the mode and depth
+        takes = {f"clone:{i}" for i in range(len(model.layers) - 1)}
+        takes |= {"remove"} | {f"hparam:{axis}" for axis in self.space.axes}
         for action, value in model.mu.items():
+            if action.key() not in takes:
+                raise SystemError_(f"model {model.id} mu table holds {action.key()}, "
+                                   "an action it can never take")
             if not on_mu_grid(value):
                 raise SystemError_(f"model {model.id} mu value {value!r} for "
                                    f"{action.key()} is off-grid")
@@ -219,7 +226,6 @@ class SystemState:
         del self.by_task[model.task][model.id]
         if not self.by_task[model.task]:
             del self.by_task[model.task]
-        self.test_accuracy.pop(model.id, None)
         for lid in set(model.layer_ids()):
             counts = self.refs[lid]
             counts[model.task] -= 1

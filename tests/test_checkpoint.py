@@ -8,7 +8,7 @@ import pytest
 
 from evograft import checkpoint
 from evograft.checkpoint import CheckpointError, load_checkpoint, save_checkpoint, system_digest
-from evograft.evolution import bootstrap_system, run_task_iteration
+from evograft.evolution import MetricsSnapshot, bootstrap_system, run_task_iteration
 from evograft.mutations import apply_mutations
 from evograft.rng import Rng
 from evograft.search_space import format_axis_line, load_builtin_space
@@ -372,6 +372,23 @@ def test_a_mu_value_off_the_grid_is_rejected_at_its_model_line(tmp_path):
         edit_and_load(tmp_path, "mu 0 clone:0=0.2;", "mu 0 clone:0=0.21;")
 
 
+def test_a_mu_key_the_model_can_never_take_is_rejected_at_its_model_line(tmp_path):
+    save_checkpoint(evolved_system(), str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    lines = text.splitlines()
+    number = lines.index("model 0 root - 0 - -") + 1
+    old = next(line for line in lines if line.startswith("mu 0 "))
+    entries = old.split()[2].split(";")
+    for extra, key in ((["clone:17=0.3"], "clone:17"), (["hparam:nope=0.2"], "hparam:nope"),
+                       (["clone:17=0.3", "hparam:nope=0.2"], "clone:17")):
+        new = "mu 0 " + ";".join(sorted(entries + extra, key=lambda e: e.split("=")[0]))
+        manifest.write_text(text.replace(old + "\n", new + "\n"))
+        with pytest.raises(CheckpointError, match=f"manifest line {number}: model 0 does not "
+                           f"validate: model 0 mu table holds {key}, an action it can never"):
+            load_checkpoint(str(tmp_path))
+
+
 def test_a_second_path_for_a_task_is_rejected(tmp_path):
     line = "task t datasets/t\n"
     with pytest.raises(CheckpointError, match=re.escape(
@@ -467,6 +484,59 @@ def test_a_snapshot_whose_segment_or_task_is_not_one_word_is_not_saved(tmp_path)
         with pytest.raises(CheckpointError, match="history 1 has a segment or task"):
             save_checkpoint(system, str(tmp_path))
         assert not (tmp_path / "manifest").exists()
+
+
+def test_kept_text_is_rendered_once_per_object_and_again_only_after_a_load(
+        tmp_path, monkeypatch):
+    from evograft.evolution import SegmentSpec, run_plan
+    renders = {}  # id -> [owner, renders]; holding the owner keeps its id unique
+
+    def counted(render):
+        def wrapper(owner, *args):
+            renders.setdefault(id(owner), [owner, 0])[1] += 1
+            return render(owner, *args)
+        return wrapper
+
+    monkeypatch.setattr(checkpoint, "_history_lines", counted(checkpoint._history_lines))
+    monkeypatch.setattr(checkpoint, "_model_lines", counted(checkpoint._model_lines))
+    datasets = {name: make_dataset(name, classes=2 + i, seed=40 + i)
+                for i, name in enumerate(("a", "b"))}
+    plan = [SegmentSpec("base", ["a", "b"], iterations=2, mode="munet", s=0.99),
+            SegmentSpec("plus", ["a", "b"], mode="munet_plus", recalibrate=10.0)]
+    saved = []  # the models and snapshots each save wrote
+
+    def save(system):
+        save_checkpoint(system, str(tmp_path))
+        saved.append([*system.models.values(), *system.history])
+
+    class Stop(Exception):
+        pass
+
+    def save_then_stop_at_three(snap):
+        save(system)
+        if len(saved) == 3:
+            raise Stop
+
+    system = evolved_system()
+    with pytest.raises(Stop):
+        run_plan(system, plan, datasets, quick_config(), save_then_stop_at_three)
+    resumed = load_checkpoint(str(tmp_path))
+    loaded = [*resumed.models.values(), *resumed.history]
+    run_plan(resumed, plan, datasets, quick_config(), lambda snap: save(resumed))
+    save(resumed)
+    assert len(saved) == 7
+
+    def key(owner):
+        return type(owner).__name__, getattr(owner, "id", getattr(owner, "index", None))
+
+    # the load renders its own copies of what the third save wrote, once each
+    assert list(map(key, loaded)) == list(map(key, saved[2]))
+    assert not {id(owner) for owner in loaded} & {id(owner) for owner in saved[2]}
+    owners = {id(owner) for owner in [*loaded, *(o for each in saved for o in each)]}
+    assert set(renders) == owners
+    assert all(count == 1 for _, count in renders.values())
+    # evolved_system's snapshot, one per iteration of the plan, the load's four copies
+    assert sum(isinstance(owner, MetricsSnapshot) for owner, _ in renders.values()) == 1 + 6 + 4
 
 
 def test_every_save_matches_a_fresh_manifest(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -391,8 +393,8 @@ def test_each_snapshot_evaluates_only_the_iterated_tasks_best(monkeypatch, n):
     # each first iteration makes its task's first model; later ones may keep it
     assert counts[:n] == [1] * n
     assert len(counts) == 2 * n and all(count <= 1 for count in counts[n:])
-    assert set(system.test_accuracy) == {m.id for m in system.models.values()
-                                         if m.task in datasets}
+    assert {m.id for m in system.models.values() if m.test_accuracy} == {
+        m.id for m in system.models.values() if m.task in datasets}
 
     # a snapshot on other dataset objects measures again, and agrees
     counts.clear()
@@ -407,11 +409,24 @@ def test_discarded_models_leave_the_accuracy_memo():
     plan = [SegmentSpec("grow", ["a", "b"], iterations=2, children=2, generations=2)]
     run_plan(system, plan, datasets, quick_config())
     assert system.next_model_id > len(system.models) + 2, "iterations must discard"
-    assert set(system.test_accuracy) <= set(system.models)
     best = system.models_for("a")[0]
-    assert best.id in system.test_accuracy
+    assert best.test_accuracy[0] is datasets["a"]
+    # the memo lives on the model, so nothing the system keeps holds it after a discard
+    gone = weakref.ref(best)
     system.discard_model(best)
-    assert best.id not in system.test_accuracy
+    del best
+    gc.collect()
+    assert gone() is None
+
+
+def test_an_unscored_model_fails_the_iteration_at_its_score():
+    system = fresh_system()
+    dataset = make_dataset("a", seed=52)
+    child = apply_mutations(system, system.models[0], {MAKE_TRAINABLE_HEAD}, "a",
+                            dataset.num_classes, system.rng)
+    system.commit_model(child)
+    with pytest.raises(ValueError, match=f"model {child.id} has no recorded quality"):
+        run_task_iteration(system, "a", dataset, quick_config(), system.rng)
 
 
 def test_parse_segments_round_robin_and_overrides():

@@ -246,6 +246,29 @@ def test_commit_rejects_a_mu_value_off_the_grid():
     assert not system.models
 
 
+def test_commit_rejects_a_mu_key_the_model_can_never_take():
+    from evograft.mutations import (MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER, clone_action,
+                                    hparam_action)
+    system = empty_system()
+    trunk = simple_trunk(system)
+    head = add_dense_block(system, HEAD, 4, 2, task="a")
+    layers = [(bid, False) for bid in trunk] + [(head.id, True)]
+    # every action the model could ever take, whatever the mode and depth
+    legal = {clone_action(i): 0.2 for i in range(len(layers) - 1)}
+    legal[REMOVE_TOP_LAYER] = 0.2
+    legal.update((hparam_action(axis), 0.2) for axis in system.space.axes)
+
+    def model(mu):
+        return ModelSpec(id=system.new_model_id(), task="a", layers=layers,
+                         hparams=system.space.default_config(), mu=mu)
+
+    for bad in (clone_action(len(layers) - 1), hparam_action("nope"), MAKE_TRAINABLE_HEAD):
+        with pytest.raises(SystemError_, match=f"mu table holds {bad.key()}, an action"):
+            system.commit_model(model({**legal, bad: 0.2}))
+    assert not system.models
+    system.commit_model(model(legal))
+
+
 def test_commit_rejects_an_id_not_above_the_last_committed():
     system = empty_system()
     trunk = simple_trunk(system)
