@@ -25,14 +25,15 @@ is written, so a save stopped at any point leaves a checkpoint that loads as
 the old or the new system, plus at most bytes past the placement length or a
 stray pack, which the next save cuts or removes.
 
-A save re-renders only the manifest lines that can change. A committed
-model's ``layers``, ``hparams`` and ``mu`` lines and each history snapshot's
-lines never change, so their text is kept on the model or snapshot itself
-(``manifest_text``: derived, never persisted, gone with its owner). A load's
-check fills it. ``write_manifest`` and ``system_digest`` render every line
-fresh, so a reload that equals the system in memory also checks the kept
-text. Blocks whose iteration had ended when the checkpoint was saved load
-read-only (settled).
+A save re-renders only the manifest lines that can change. A block's line, a
+committed model's ``layers``, ``hparams`` and ``mu`` lines and each history
+snapshot's lines never change, so their text is kept on the block, model or
+snapshot itself (``manifest_text``: derived, never persisted, gone with its
+owner); a model's ``model`` line, which shows its quality and score, is
+rendered on every save. A load's check fills the kept text. ``write_manifest``
+and ``system_digest`` render every line fresh, so a reload that equals the
+system in memory also checks the kept text. Blocks whose iteration had ended
+when the checkpoint was saved load read-only (settled).
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ def write_manifest(system: SystemState) -> str:
 
 
 def _render(system: SystemState, reuse: bool) -> str:
-    """The manifest without its placement line. A committed model's
-    ``layers``, ``hparams`` and ``mu`` lines and a history snapshot's lines
-    never change; with ``reuse`` each owner's text is rendered once and then
-    taken from its ``manifest_text``."""
+    """The manifest without its placement line. A block's line, a committed
+    model's ``layers``, ``hparams`` and ``mu`` lines and a history snapshot's
+    lines never change; with ``reuse`` each owner's text is rendered once and
+    then taken from its ``manifest_text``."""
 
     def text(owner, render, *args) -> str:
         if not reuse:
@@ -108,8 +109,7 @@ def _render(system: SystemState, reuse: bool) -> str:
             raise CheckpointError(f"task {name!r} has a path that is not one line: {task_path!r}")
         lines.append(f"task {name} {task_path}")
     for b in system.blocks.values():
-        lines.append(f"block {b.id} {b.kind} {b.d_in} {b.d_out} "
-                     f"{b.created_by_task} {b.generation_tag}")
+        lines.append(text(b, _block_line))
     axis_names = system.space.axis_names()
     for m in system.models.values():
         parent = "-" if m.parent_id is None else str(m.parent_id)
@@ -126,6 +126,10 @@ def _render(system: SystemState, reuse: bool) -> str:
     for snap in system.history:
         lines.append(text(snap, _history_lines))
     return "\n".join(lines) + "\n"
+
+
+def _block_line(b: LayerBlock) -> str:
+    return f"block {b.id} {b.kind} {b.d_in} {b.d_out} {b.created_by_task} {b.generation_tag}"
 
 
 def _model_lines(m: ModelSpec, axis_names: list[str]) -> str:
@@ -191,10 +195,9 @@ def save_checkpoint(system: SystemState, path: str) -> None:
     ``blocks/``. A task path that is not one line, or a snapshot whose
     segment or task is not one word, fails before any write. The manifest
     lines that cannot change are rendered once and then reused from their
-    model or snapshot."""
+    block, model or snapshot."""
     text = _render(system, reuse=True)
     blocks_dir = os.path.join(path, "blocks")
-    os.makedirs(blocks_dir, exist_ok=True)
     manifest_path = os.path.join(path, "manifest")
     try:
         with open(manifest_path, "rb") as fh:
@@ -208,6 +211,7 @@ def save_checkpoint(system: SystemState, path: str) -> None:
         # a fresh pack once superseded records would outweigh live ones
         append = placement.length <= 2 * sum(map(_record_size, system.blocks.values()))
     if not append:
+        os.makedirs(blocks_dir, exist_ok=True)
         try:
             in_use = _split_placement(on_disk.decode("utf-8"))[1]
         except ValueError:  # no manifest yet, or not one this reader takes

@@ -279,7 +279,7 @@ def _prototype(rng: Rng, h: int, w: int, c: int) -> np.ndarray:
 
 def _sample_split(rng: Rng, protos: np.ndarray, count: int, noise: float):
     k, h, w, c = protos.shape
-    labels = np.array([rng.randint(k) for _ in range(count)], dtype=np.int64)
+    labels = (rng.uniforms(count) * k).astype(np.int64)  # each one randint(k)
     noise_arr = rng.normals(count * h * w * c, 0.0, noise).reshape(count, h, w, c)
     images = np.clip(protos[labels] + noise_arr, 0.0, 1.0)
     return np.round(images * 255.0).astype(np.uint8), labels

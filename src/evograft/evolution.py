@@ -192,13 +192,21 @@ def _restore_payload(system: SystemState, payload: dict) -> None:
 
 def _train_child(system: SystemState, child: ModelSpec, parent: ModelSpec,
                  task: str, dataset: TaskDataset, cfg: EvolutionConfig,
-                 rng: Rng):
+                 rng: Rng, val_batches: dict | None = None):
     """Run the training cycles; return (quality, payload) of the best retained
-    checkpoint or None if every cycle fell below the bar."""
+    checkpoint or None if every cycle fell below the bar. ``val_batches`` maps
+    a resolution to the preprocessed validation split; a missing one is
+    preprocessed and added."""
     val_images, val_labels = dataset.split("val")
-    # A child's resolution is fixed while it trains, so validation inputs are
-    # preprocessed once, through the module so wrappers installed there see it.
-    val_batch = trainer.preprocess_batch(val_images, child.hparams, None, train_mode=False)
+    # Eval preprocessing depends only on the resolution, which is fixed while a
+    # child trains; it goes through the module so wrappers installed there see it.
+    if val_batches is None:
+        val_batches = {}
+    resolution = child.hparams[RESOLUTION_AXIS]
+    if resolution not in val_batches:
+        val_batches[resolution] = trainer.preprocess_batch(val_images, child.hparams, None,
+                                                           train_mode=False)
+    val_batch = val_batches[resolution]
     bar = score_model(system, parent) if parent.task == task else -math.inf
     best = None
     for cycle in range(cfg.train_cycles):
@@ -218,15 +226,16 @@ def run_generation(system: SystemState, task: str, dataset: TaskDataset,
     """Spawn, train and retain/discard one generation of children.
 
     Trainer failures are contained per child: the failing child is discarded
-    and the generation moves on."""
-    retained = []
+    and the generation moves on. The children share one preprocessed
+    validation split per resolution."""
+    retained, val_batches = [], {}
     for _ in range(cfg.children_per_generation):
         parent = sample_parent(system, task, active, rng)
         actions = sample_mutations(system, parent, rng)
         child = apply_mutations(system, parent, actions, task, dataset.num_classes, rng)
         system.commit_model(child)
         try:
-            best = _train_child(system, child, parent, task, dataset, cfg, rng)
+            best = _train_child(system, child, parent, task, dataset, cfg, rng, val_batches)
         except TrainerError as exc:
             log.warning("child %d failed training on %s: %s", child.id, task, exc)
             system.discard_model(child)

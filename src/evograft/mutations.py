@@ -84,9 +84,9 @@ def sample_mutations(system: SystemState, parent: ModelSpec,
                      rng: Rng) -> set[MutationAction]:
     """Draw a mutation set: the head action always, others by their table entry."""
     chosen = {MAKE_TRAINABLE_HEAD}
-    for action in possible_mutations(system, parent):
-        mu = parent.mu.get(action, MU_INIT)
-        if mu > rng.uniform():
+    actions = possible_mutations(system, parent)
+    for action, draw in zip(actions, rng.uniforms(len(actions)).tolist()):
+        if parent.mu.get(action, MU_INIT) > draw:
             chosen.add(action)
     return chosen
 

@@ -97,9 +97,13 @@ class Rng:
         return seq[self.randint(len(seq))]
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates: position i from the top down swaps with
+        ``randint(i + 1)``, all the uniforms drawn in one call."""
+        n = len(seq)
+        if n < 2:
+            return
+        picks = (self.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             seq[i], seq[j] = seq[j], seq[i]
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:

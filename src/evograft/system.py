@@ -5,19 +5,21 @@ The system holds every parameter block once; models are ordered lists of
 parameter count divided by one plus the number of models for *other* tasks
 referencing it, so shared frozen blocks get cheaper as more tasks reuse them.
 Those counts come from ``refs``, an index of references per block and task,
-and a task's models from ``by_task``; only commit and discard change either
-index, and both are derived state, never persisted.
-Inference flops are an analytic count over the model's own dense maps and do
-not depend on sharing. ``blocks`` and ``models`` iterate in ascending id
-order by construction: ``add_block`` numbers upward and ``commit_model``
+with ``users``, the models per block, beside it, and a task's models from
+``by_task``; only commit and discard change these indexes, and all are derived
+state, never persisted. Inference flops are an analytic count over the
+model's own dense maps and do not depend on sharing, so a committed model
+keeps them for its lifetime. ``blocks`` and ``models`` iterate in ascending
+id order by construction: ``add_block`` numbers upward and ``commit_model``
 accepts only an id above the last committed one, so readers never re-sort.
 
 A block is settled once the iteration that created it ends: its parameter
 and optimizer arrays become read-only (``LayerBlock.settle``), so any later
 write raises numpy's ``ValueError`` and a settled task can never be
-forgotten. Reads are safe to run concurrently; commit, discard, and garbage
-collection assume a single writer, and training writes only unsettled blocks,
-so child training may overlap reads of settled ones.
+forgotten. Reads are safe to run concurrently (a read may fill a model's
+kept flops, and a concurrent one fills the same value); commit, discard,
+and garbage collection assume a single writer, and training writes only
+unsettled blocks, so child training may overlap reads of settled ones.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ class LayerBlock:
     opt: np.ndarray
     created_by_task: str
     generation_tag: int
+    # Derived, never persisted, not compared: the text of its manifest line
+    manifest_text: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.params.dtype != np.float32 or self.opt.dtype != np.float32:
@@ -78,11 +82,11 @@ class LayerBlock:
 
     def weight(self, dtype=None) -> np.ndarray:
         w = self.params[: self.d_in * self.d_out].reshape(self.d_in, self.d_out)
-        return w if dtype is None else w.astype(dtype)
+        return w if dtype is None else w.astype(dtype, copy=False)
 
     def bias(self, dtype=None) -> np.ndarray:
         b = self.params[self.d_in * self.d_out :]
-        return b if dtype is None else b.astype(dtype)
+        return b if dtype is None else b.astype(dtype, copy=False)
 
     def clone_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.params.copy(), self.opt.copy()
@@ -112,10 +116,12 @@ class ModelSpec:
     score_snapshot: float | None = None
     # Derived, never persisted, not compared: the text of its layers, hparams
     # and mu manifest lines, which assumes the model's own system (its axis
-    # order), and its (test dataset, accuracy) once its blocks are settled.
+    # order); its (test dataset, accuracy) once its blocks are settled; and,
+    # once committed, its inference flops.
     manifest_text: str | None = field(default=None, compare=False, repr=False)
     test_accuracy: tuple["TaskDataset", float] | None = field(
         default=None, compare=False, repr=False)
+    flops: int | None = field(default=None, compare=False, repr=False)
 
     def layer_ids(self) -> list[int]:
         return [lid for lid, _ in self.layers]
@@ -140,6 +146,7 @@ class SystemState:
         self.blocks: dict[int, LayerBlock] = {}
         self.models: dict[int, ModelSpec] = {}
         self.refs: dict[int, dict[str, int]] = {}  # block -> task -> models
+        self.users: dict[int, int] = {}  # block -> models
         self.by_task: dict[str, dict[int, ModelSpec]] = {}  # task -> id -> model
         self.selection_counts: dict[tuple[int, str], int] = {}
         self.task_paths: dict[str, str] = {}
@@ -184,7 +191,11 @@ class SystemState:
         return sorted(self.by_task)
 
     def validate_model(self, model: ModelSpec) -> None:
-        kinds = [self.block(lid).kind for lid in model.layer_ids()]
+        ids = model.layer_ids()
+        kinds = [self.block(lid).kind for lid in ids]
+        if len(set(ids)) < len(ids):
+            twice = next(lid for lid in ids if ids.count(lid) > 1)
+            raise SystemError_(f"model {model.id} lists block {twice} more than once")
         if len(kinds) < 2 + MIN_HIDDEN_DEPTH:
             raise SystemError_(f"model {model.id} is too shallow")
         if kinds[0] != EMBEDDING or kinds[-1] != HEAD:
@@ -212,9 +223,10 @@ class SystemState:
         self.validate_model(model)
         self.models[model.id] = model
         self.by_task.setdefault(model.task, {})[model.id] = model
-        for lid in set(model.layer_ids()):
+        for lid in model.layer_ids():
             counts = self.refs.setdefault(lid, {})
             counts[model.task] = counts.get(model.task, 0) + 1
+            self.users[lid] = self.users.get(lid, 0) + 1
         for lid, trainable in model.layers:
             if trainable:
                 self.ever_trainable.add(lid)
@@ -226,13 +238,14 @@ class SystemState:
         del self.by_task[model.task][model.id]
         if not self.by_task[model.task]:
             del self.by_task[model.task]
-        for lid in set(model.layer_ids()):
+        for lid in model.layer_ids():
             counts = self.refs[lid]
             counts[model.task] -= 1
+            self.users[lid] -= 1
             if not counts[model.task]:
                 del counts[model.task]
                 if not counts:
-                    del self.refs[lid]
+                    del self.refs[lid], self.users[lid]
         self.selection_counts = {k: v for k, v in self.selection_counts.items()
                                  if k[0] != model.id}
         self.collect_garbage()
@@ -245,8 +258,7 @@ class SystemState:
     def sharing_count(self, block_id: int, task: str) -> int:
         """Number of models for tasks other than ``task`` referencing the block."""
         self.block(block_id)
-        counts = self.refs.get(block_id, {})
-        return sum(counts.values()) - counts.get(task, 0)
+        return self.users.get(block_id, 0) - self.refs.get(block_id, {}).get(task, 0)
 
     def accounted_params(self, model: ModelSpec) -> float:
         """Parameter cost of the model with shared blocks discounted.
@@ -261,7 +273,16 @@ class SystemState:
         return total
 
     def inference_flops(self, model: ModelSpec) -> int:
-        """Dense-map flop count for one input sample at the model's resolution."""
+        """Dense-map flop count for one input sample at the model's resolution.
+        A committed model keeps the count: its blocks' shapes and its
+        resolution never change."""
+        if self.models.get(model.id) is not model:
+            return self._inference_flops(model)
+        if model.flops is None:
+            model.flops = self._inference_flops(model)
+        return model.flops
+
+    def _inference_flops(self, model: ModelSpec) -> int:
         resolution = model.hparams[RESOLUTION_AXIS]
         total = 0
         for lid in model.layer_ids():

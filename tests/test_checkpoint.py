@@ -389,6 +389,21 @@ def test_a_mu_key_the_model_can_never_take_is_rejected_at_its_model_line(tmp_pat
             load_checkpoint(str(tmp_path))
 
 
+def test_a_model_that_lists_a_block_twice_is_rejected_at_its_model_line(tmp_path):
+    system = bootstrap_system(load_builtin_space("desk"), seed=21, width=8, depth=3,
+                              patch=8, channels=3)
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    number = text.splitlines().index("model 0 root - 0 - -") + 1
+    old = "layers 0 0:0,1:0,2:0,3:0,4:0\n"
+    assert old in text
+    manifest.write_text(text.replace(old, "layers 0 0:0,1:0,1:0,2:0,3:0,4:0\n"))
+    with pytest.raises(CheckpointError, match=f"manifest line {number}: model 0 does not "
+                       "validate: model 0 lists block 1 more than once"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_a_second_path_for_a_task_is_rejected(tmp_path):
     line = "task t datasets/t\n"
     with pytest.raises(CheckpointError, match=re.escape(

@@ -204,6 +204,26 @@ def test_child_validation_split_is_preprocessed_once(monkeypatch):
     _restore_payload(system, payload)
     assert quality == evaluate(system, child, val_images, val_labels)
 
+    # a generation's children share one preprocessed split per resolution
+    system, eval_calls, children = fresh_system(), [], []
+
+    def spawn(*args):
+        children.append(apply_mutations(*args))
+        return children[-1]
+
+    def counting_resolution(images, hparams, rng, train_mode):
+        if not train_mode:
+            eval_calls.append(hparams["resolution"])
+        return original(images, hparams, rng, train_mode)
+
+    monkeypatch.setattr(evolution, "apply_mutations", spawn)
+    monkeypatch.setattr(trainer, "preprocess_batch", counting_resolution)
+    run_generation(system, "t", ds, quick_config(children_per_generation=6), [], Rng(5, "gen"))
+    monkeypatch.undo()
+    resolutions = list(dict.fromkeys(child.hparams["resolution"] for child in children))
+    assert len(children) == 6 and len(resolutions) > 1
+    assert eval_calls == resolutions
+
 
 def test_empty_validation_split_fails_the_child_before_training(monkeypatch, caplog):
     system = fresh_system()

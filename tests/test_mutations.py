@@ -9,7 +9,7 @@ from evograft.mutations import (MAKE_TRAINABLE_HEAD, MutationAction, MutationErr
                                 hparam_action, inherit_mu, possible_mutations,
                                 sample_mutations)
 from evograft.rng import Rng
-from evograft.search_space import MU_INIT, on_mu_grid
+from evograft.search_space import MU_GRID, MU_INIT, on_mu_grid
 from evograft.system import ROOT_TASK
 
 from conftest import pinned_space
@@ -58,6 +58,22 @@ def test_sample_always_contains_head_and_replays(small_system):
     second = sample_mutations(small_system, root, Rng(4, "s"))
     assert MAKE_TRAINABLE_HEAD in first
     assert first == second
+
+
+def test_sample_matches_a_per_action_uniform_loop(small_system):
+    root = root_of(small_system)
+    grid = Rng(2, "grid")
+    for seed in range(20):
+        # the first action has no entry, so it is drawn at the initial value
+        parent = replace(root, mu={action: grid.choice(MU_GRID) for action in
+                                   list(root.mu)[1:]})
+        bulk, scalar = Rng(seed, "sample"), Rng(seed, "sample")
+        expected = {MAKE_TRAINABLE_HEAD}
+        for action in possible_mutations(small_system, parent):
+            if parent.mu.get(action, MU_INIT) > scalar.uniform():
+                expected.add(action)
+        assert sample_mutations(small_system, parent, bulk) == expected
+        assert bulk.counter == scalar.counter
 
 
 def test_sample_inclusion_frequency_at_init_value(small_system):

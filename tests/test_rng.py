@@ -94,3 +94,34 @@ def test_label_validation():
     import pytest
     with pytest.raises(ValueError):
         Rng(0, "has space")
+
+
+def scalar_shuffle(rng, seq):
+    """Fisher-Yates one scalar draw at a time: the reference for ``shuffle``."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+def test_shuffle_matches_a_scalar_fisher_yates():
+    for n in [*range(41), 1000]:
+        bulk, scalar = Rng(5, "shuffle", 3), Rng(5, "shuffle", 3)
+        got, expected = list(range(n)), list(range(n))
+        bulk.shuffle(got)
+        scalar_shuffle(scalar, expected)
+        assert got == expected, n
+        assert bulk.counter == scalar.counter == 3 + max(n - 1, 0)
+
+
+def test_split_labels_match_per_draw_randint():
+    from evograft.data import _sample_split
+    protos = np.linspace(0.0, 1.0, 7 * 4 * 4 * 3).reshape(7, 4, 4, 3)
+    for k in (1, 2, 3, 7):
+        bulk, scalar = Rng(11, f"labels{k}"), Rng(11, f"labels{k}")
+        images, labels = _sample_split(bulk, protos[:k], 50, 0.1)
+        expected = np.array([scalar.randint(k) for _ in range(50)], dtype=np.int64)
+        noise = scalar.normals(50 * 4 * 4 * 3, 0.0, 0.1).reshape(50, 4, 4, 3)
+        pixels = np.round(np.clip(protos[expected] + noise, 0.0, 1.0) * 255.0)
+        assert labels.dtype == np.int64 and labels.tolist() == expected.tolist()
+        assert images.tobytes() == pixels.astype(np.uint8).tobytes()
+        assert bulk.counter == scalar.counter

@@ -3,7 +3,7 @@ import pytest
 from evograft.checkpoint import load_checkpoint, save_checkpoint
 from evograft.rng import Rng
 from evograft.system import (EMBEDDING, HEAD, HIDDEN, ModelSpec, SystemError_,
-                             dense_flops, embedding_flops, export_dot)
+                             SystemState, dense_flops, embedding_flops, export_dot)
 
 from conftest import add_dense_block, add_model, empty_system, simple_trunk
 
@@ -280,6 +280,44 @@ def test_commit_rejects_an_id_not_above_the_last_committed():
         with pytest.raises(SystemError_, match="not above"):
             system.commit_model(stale)
     assert list(system.models) == sorted(system.models)
+
+
+def test_commit_rejects_a_model_that_lists_a_block_twice():
+    system = empty_system()
+    trunk = simple_trunk(system)
+    head = add_dense_block(system, HEAD, 4, 2, task="a")
+    for layers in ([trunk[0], trunk[1], trunk[1], head.id],
+                   [trunk[0], trunk[1], trunk[2], trunk[1], head.id]):
+        twice = ModelSpec(id=system.new_model_id(), task="a",
+                          layers=[(bid, False) for bid in layers],
+                          hparams=system.space.default_config(), mu={})
+        with pytest.raises(SystemError_, match=f"model {twice.id} lists block {trunk[1]} "
+                           "more than once"):
+            system.commit_model(twice)
+    assert not system.models and not system.refs
+
+
+def test_flops_are_computed_once_per_committed_model(monkeypatch):
+    computed = []
+
+    def spy(self, model, original=SystemState._inference_flops):
+        computed.append(model.id)
+        return original(self, model)
+    monkeypatch.setattr(SystemState, "_inference_flops", spy)
+    system = empty_system()
+    trunk = simple_trunk(system)
+    models, committed = [], []
+    for task in ("a", "b", "a", "c", "-", "b", "-"):
+        if task == "-":
+            system.discard_model(models.pop(0))
+        else:
+            models.append(add_model(system, task, trunk, 4, 2))
+            committed.append(models[-1].id)
+        for _ in range(3):
+            for model in system.models.values():
+                system.inference_flops(model)
+    # each model's flops once in its lifetime, however often it was read
+    assert computed == committed
 
 
 def check_against_brute_force(system, tasks):
