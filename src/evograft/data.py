@@ -24,6 +24,8 @@ from .rng import Rng
 
 MAGIC = b"MTDS"
 SPLITS = ("train", "val", "test")
+# labels are stored as u16, so a task has at most this many classes
+MAX_CLASSES = 1 << 16
 
 
 class DatasetError(ValueError):
@@ -52,6 +54,10 @@ def _record_dtype(h: int, w: int, c: int) -> np.dtype:
 
 def write_split(path: str, images: np.ndarray, labels: np.ndarray) -> None:
     n, h, w, c = images.shape
+    outside = labels[(labels < 0) | (labels >= MAX_CLASSES)]
+    if outside.size:
+        raise DatasetError(f"{path}: label {outside[0]} does not fit the u16 label field "
+                           f"(0..{MAX_CLASSES - 1})")
     records = np.empty(n, dtype=_record_dtype(h, w, c))
     records["img"] = images
     records["label"] = labels.astype("<u2")
@@ -148,28 +154,29 @@ def scan_task_dirs(root: str) -> dict[str, str]:
 
 def bilinear_taps(size, out: int):
     """Half-pixel-centered bilinear taps to ``out`` pixels, one row per source
-    size: each output pixel's lower and upper source index and upper weight."""
+    size: each output pixel's lower and upper source index, stacked on a
+    leading axis of two, and its upper weight."""
     size = np.asarray(size)[..., None]
     pos = (np.arange(out) + 0.5) * (size / out) - 0.5
-    i0 = np.clip(np.floor(pos).astype(int), 0, size - 1)
-    return i0, np.minimum(i0 + 1, size - 1), np.clip(pos - i0, 0.0, 1.0)
+    low = np.clip(np.floor(pos).astype(int), 0, size - 1)
+    return np.stack([low, np.minimum(low + 1, size - 1)]), np.clip(pos - low, 0.0, 1.0)
 
 
 def bilinear_resample(images: np.ndarray, y_taps, x_taps) -> np.ndarray:
-    """A float (n, h, w, c) batch at shared or per-image ``bilinear_taps``:
-    columns blend in every source row, then rows. Each gather takes whole
-    pixels, then whole output rows, and each blend runs along a row's
-    ``out_w * c`` values, never along the short channel axis."""
+    """A float (n, h, w, c) batch at shared (one row) or per-image (n rows)
+    ``bilinear_taps``: columns blend in every source row, then rows. Each
+    gather takes whole pixels, then whole output rows, and each blend runs
+    along a row's ``out_w * c`` values, never along the short channel axis."""
     n, h, w, c = images.shape
-    (y0, y1, wy), (x0, x1, wx) = y_taps, x_taps
+    (y, wy), (x, wx) = y_taps, x_taps
     pixels = images.reshape(n * h * w, c)
     starts = np.arange(0, n * h * w, w).reshape(n, h, 1)
-    rows = blend(*(np.take(pixels, starts + x[..., None, :], axis=0).reshape(n, h, -1)
-                   for x in (x0, x1)), np.repeat(wx, c, axis=-1)[..., None, :])
+    rows = blend(*(np.take(pixels, starts + tap[:, None, :], axis=0).reshape(n, h, -1)
+                   for tap in x), np.repeat(wx, c, axis=-1)[..., None, :])
     first = np.arange(0, n * h, h)[:, None]
-    out = blend(*(np.take(rows.reshape(n * h, -1), first + y, axis=0) for y in (y0, y1)),
+    out = blend(*(np.take(rows.reshape(n * h, -1), first + tap, axis=0) for tap in y),
                 wy[..., None])
-    return out.reshape(n, y0.shape[-1], x0.shape[-1], c)
+    return out.reshape(n, y.shape[-1], x.shape[-1], c)
 
 
 def blend(a: np.ndarray, b: np.ndarray, weight) -> np.ndarray:
@@ -186,8 +193,8 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     *lead, h, w, c = image.shape
     if (h, w) == (out_h, out_w):
         return image.copy()
-    out = bilinear_resample(image.reshape(-1, h, w, c), bilinear_taps(h, out_h),
-                            bilinear_taps(w, out_w))
+    out = bilinear_resample(image.reshape(-1, h, w, c), bilinear_taps([h], out_h),
+                            bilinear_taps([w], out_w))
     return out.reshape(*lead, out_h, out_w, c)
 
 
@@ -213,6 +220,8 @@ class TaskGenSpec:
         for key in _TASK_COUNTS:
             if getattr(self, key) < 1:
                 raise DatasetError(f"{key}= must be at least 1, got {getattr(self, key)}")
+        if self.classes > MAX_CLASSES:
+            raise DatasetError(f"classes= must be at most {MAX_CLASSES}, got {self.classes}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise DatasetError(f"noise= must be a finite number of at least 0, got {self.noise}")
 

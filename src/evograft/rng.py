@@ -24,6 +24,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 _INV_2_53 = 2.0 ** -53
+_NORMAL_CHUNK = 1 << 14
 
 
 def fnv1a64(text: str) -> int:
@@ -70,20 +71,27 @@ class Rng:
         return out
 
     def raws(self, n: int) -> np.ndarray:
-        """Vectorized raw draws, identical to ``n`` successive raw() calls."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        """Vectorized raw draws, identical to ``n`` successive raw() calls,
+        worked in place: uint64 arithmetic wraps as ``& _MASK`` does."""
+        x = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        x = (np.uint64(self._key) + idx * np.uint64(_GOLDEN)) & np.uint64(_MASK)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        return x ^ (x >> np.uint64(31))
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64(self._key)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_MIX1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_MIX2)
+        x ^= x >> np.uint64(31)
+        return x
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
         return (self.raw() >> 11) * _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self.raws(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        x = self.raws(n)
+        x >>= np.uint64(11)
+        return x * _INV_2_53
 
     def randint(self, n: int) -> int:
         """Integer in [0, n)."""
@@ -107,8 +115,17 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """``n`` Box-Muller cosine-branch normals, two uniforms each."""
-        raw = self.raws(2 * n).reshape(n, 2)
-        u1 = ((raw[:, 0] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
-        u2 = (raw[:, 1] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return mu + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        """``n`` Box-Muller cosine-branch normals, two uniforms each, made
+        ``_NORMAL_CHUNK`` at a time so every temporary stays chunk-sized."""
+        out = np.empty(n)
+        for start in range(0, n, _NORMAL_CHUNK):
+            z = out[start:start + _NORMAL_CHUNK]
+            u = self.uniforms(2 * len(z))
+            # the first uniform of a pair is (k + 1) * 2**-53, exactly u + 2**-53
+            np.log(np.add(u[0::2], _INV_2_53, out=z), out=z)
+            z *= -2.0
+            np.sqrt(z, out=z)
+            z *= sigma
+            z *= np.cos(2.0 * np.pi * u[1::2])
+            z += mu
+        return out

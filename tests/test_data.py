@@ -37,6 +37,17 @@ def test_split_round_trip(tmp_path):
     assert file_sha(str(path)) == first
 
 
+def test_labels_that_do_not_fit_the_u16_field_are_rejected(tmp_path):
+    images = np.zeros((3, 4, 4, 3), dtype=np.uint8)
+    path = tmp_path / "train.bin"
+    for bad in (65536, 70000, -1):
+        with pytest.raises(DatasetError, match=rf"train\.bin.*label {bad}\b.*0\.\.65535"):
+            write_split(str(path), images, np.array([0, bad, 1]))
+        assert not path.exists()
+    write_split(str(path), images, np.array([0, 65535, 1]))
+    assert read_split(str(path))[1].tolist() == [0, 65535, 1]
+
+
 def test_truncated_split_names_the_file_and_the_counts(tmp_path):
     images = np.zeros((2, 4, 4, 3), dtype=np.uint8)
     path = tmp_path / "train.bin"
@@ -143,6 +154,14 @@ def test_gen_spec_values_are_checked_where_the_spec_is_built():
                 parse_gen_spec(f"task a {field}={value}\n")
             with pytest.raises(DatasetError, match=f"{field}= must be at least 1"):
                 TaskGenSpec(**{"name": "a", "classes": 4, field: value})
+
+
+def test_gen_spec_classes_must_fit_the_u16_labels():
+    with pytest.raises(DatasetError, match="^line 1: classes= must be at most 65536, got 70000$"):
+        parse_gen_spec("task a classes=70000\n")
+    with pytest.raises(DatasetError, match="classes= must be at most 65536"):
+        TaskGenSpec("a", 65537)
+    assert TaskGenSpec("a", 65536).classes == 65536
 
 
 def test_gen_spec_noise_must_be_finite_and_not_negative():

@@ -125,3 +125,23 @@ def test_split_labels_match_per_draw_randint():
         assert labels.dtype == np.int64 and labels.tolist() == expected.tolist()
         assert images.tobytes() == pixels.astype(np.uint8).tobytes()
         assert bulk.counter == scalar.counter
+
+
+def test_bulk_draws_match_scalar_draws_across_the_normals_chunk():
+    from evograft.rng import _NORMAL_CHUNK
+
+    def scalar_normal(rng, mu, sigma):
+        # numpy's own log and cos, one value at a time: on AVX-512 hosts numpy's
+        # log differs from math.log in the last bit for a few inputs in a thousand
+        u1 = np.float64(((rng.raw() >> 11) + 1) * 2.0 ** -53)
+        u2 = np.float64((rng.raw() >> 11) * 2.0 ** -53)
+        return mu + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+    for n in (_NORMAL_CHUNK - 1, _NORMAL_CHUNK, _NORMAL_CHUNK + 1):
+        bulk, scalar = Rng(31, f"chunk{n}", 5), Rng(31, f"chunk{n}", 5)
+        assert bulk.raws(n).tolist() == [scalar.raw() for _ in range(n)]
+        assert bulk.uniforms(n).tobytes() == np.array(
+            [scalar.uniform() for _ in range(n)]).tobytes()
+        expected = np.array([scalar_normal(scalar, 0.0, 0.03) for _ in range(n)])
+        assert bulk.normals(n, 0.0, 0.03).tobytes() == expected.tobytes()
+        assert bulk.counter == scalar.counter == 5 + 4 * n

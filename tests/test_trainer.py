@@ -525,3 +525,32 @@ def test_train_preprocessing_matches_per_image_reference(desk_space):
                                        ("area", 0.05), ("aspect", 0.5),
                                        ("no jitter", True), ("mirrored mean", True),
                                        ("4-channel hue", True), ("n", 1)}
+
+
+def test_train_preprocessing_matches_the_reference_at_crop_plan_edges(desk_space):
+    # full crops at res == h and w (identity taps), 1-pixel crops (forced by a
+    # 1-pixel side, or by an extreme aspect), 8x8 and 12x20 images, n = 1, and
+    # batches with every image or no image flipped
+    gen = np.random.default_rng(2026)
+    cases = [((16, 16), 16, 1.0, 1.0), ((8, 8), 8, 1.0, 1.0), ((8, 8), 32, 0.05, 0.5),
+             ((12, 20), 16, 0.5, 0.75), ((12, 20), 32, 1.0, 1.0), ((12, 20), 16, 0.05, 0.01),
+             ((1, 20), 16, 0.5, 0.5), ((12, 1), 32, 0.5, 0.5), ((1, 1), 16, 1.0, 1.0)]
+    seen = set()
+    for (h, w), res, area, aspect in cases:
+        hp = desk_space.default_config()
+        hp.update(crop_area_min=area, crop_aspect_min=aspect, flip=True, resolution=res,
+                  quality_delta=0.1 if h == 12 else 0.0)
+        k = 5 + (hp["quality_delta"] > 0)  # draws per image; the fifth decides the flip
+        for n in (1, 2, 3):
+            for seed in range(6):
+                images = gen.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+                batch_rng, ref_rng = Rng(seed, "edge"), Rng(seed, "edge")
+                flipped = Rng(seed, "edge").uniforms(n * k).reshape(n, k)[:, 4] < 0.5
+                batch = preprocess_batch(images, hp, batch_rng, train_mode=True)
+                assert batch.tobytes() == reference_train_batch(images, hp, ref_rng).tobytes(), (
+                    h, w, res, area, aspect, n, seed)
+                assert batch_rng.state() == ref_rng.state()
+                if n > 1:
+                    seen.add("all flipped" if flipped.all() else
+                             "none flipped" if not flipped.any() else "some flipped")
+    assert seen == {"all flipped", "none flipped", "some flipped"}
