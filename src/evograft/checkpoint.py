@@ -116,8 +116,9 @@ def _render(system: SystemState, reuse: bool) -> str:
         quality, snap = ("-" if v is None else repr(v) for v in (m.quality, m.score_snapshot))
         lines.append(f"model {m.id} {m.task} {parent} {m.id} {quality} {snap}")
         lines.append(text(m, _model_lines, axis_names))
-    for (mid, task) in sorted(system.selection_counts):
-        lines.append(f"selection {mid} {task} {system.selection_counts[(mid, task)]}")
+    for m in system.models.values():
+        for task, count in sorted(m.selections.items()):
+            lines.append(f"selection {m.id} {task} {count}")
     for bid in sorted(system.ever_trainable):
         lines.append(f"evertrain {bid}")
     if system.run_position is not None:
@@ -328,8 +329,13 @@ def _build(body: str, records: dict, pack: str, at: list) -> SystemState:
         mid, task, count = rest.split()
         if int(count) < 0:
             raise ValueError(f"selection {mid} {task} has a negative count {count}")
-        system.selection_counts[(int(mid), task)] = int(count)
-    system.ever_trainable.update(int(rest) for rest in each("evertrain"))
+        if int(mid) not in system.models:
+            raise ValueError(f"selection {mid} names no listed model")
+        system.models[int(mid)].selections[task] = int(count)
+    for rest in each("evertrain"):
+        if not 0 <= int(rest) < system.next_block_id:
+            raise ValueError(f"evertrain {rest} names no id below blocks={system.next_block_id}")
+        system.ever_trainable.add(int(rest))
     for rest in each("position"):
         seg, done = rest.split()
         if int(done) < 0:

@@ -171,15 +171,13 @@ def sample_parent(system: SystemState, task: str, active: list[ModelSpec],
 
     chosen = None
     for candidate in scored + others:
-        count = system.selection_counts.get((candidate.id, task), 0)
-        if parent_acceptance_probability(count) > rng.uniform():
+        if parent_acceptance_probability(candidate.selections.get(task, 0)) > rng.uniform():
             chosen = candidate
             break
     if chosen is None:
         pool = list(system.models.values())
         chosen = pool[rng.randint(len(pool))]
-    key = (chosen.id, task)
-    system.selection_counts[key] = system.selection_counts.get(key, 0) + 1
+    chosen.selections[task] = chosen.selections.get(task, 0) + 1
     return chosen
 
 

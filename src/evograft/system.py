@@ -4,14 +4,15 @@ The system holds every parameter block once; models are ordered lists of
 (block id, trainable flag) references. A block's cost to one model is its
 parameter count divided by one plus the number of models for *other* tasks
 referencing it, so shared frozen blocks get cheaper as more tasks reuse them.
-Those counts come from ``refs``, an index of references per block and task,
-with ``users``, the models per block, beside it, and a task's models from
-``by_task``; only commit and discard change these indexes, and all are derived
-state, never persisted. Inference flops are an analytic count over the
-model's own dense maps and do not depend on sharing, so a committed model
-keeps them for its lifetime. ``blocks`` and ``models`` iterate in ascending
-id order by construction: ``add_block`` numbers upward and ``commit_model``
-accepts only an id above the last committed one, so readers never re-sort.
+Each block keeps those counts, ``refs`` per task and ``users`` in all, and
+``by_task`` indexes a task's models; only commit and discard change them, and
+all are derived state, never persisted. A model keeps its own parent-selection
+counts per task (``selections``, persisted), so they go away with it.
+Inference flops are an analytic count over the model's own dense maps and do
+not depend on sharing, so a committed model keeps them for its lifetime.
+``blocks`` and ``models`` iterate in ascending id order by construction:
+``add_block`` numbers upward and ``commit_model`` accepts only an id above the
+last committed one, so readers never re-sort.
 
 A block is settled once the iteration that created it ends: its parameter
 and optimizer arrays become read-only (``LayerBlock.settle``), so any later
@@ -66,8 +67,10 @@ class LayerBlock:
     opt: np.ndarray
     created_by_task: str
     generation_tag: int
-    # Derived, never persisted, not compared: the text of its manifest line
+    # Derived, never persisted, not compared: its manifest line's text and its referrer counts
     manifest_text: str | None = field(default=None, compare=False, repr=False)
+    refs: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    users: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if self.params.dtype != np.float32 or self.opt.dtype != np.float32:
@@ -114,6 +117,7 @@ class ModelSpec:
     parent_id: int | None = None
     quality: float | None = None
     score_snapshot: float | None = None
+    selections: dict[str, int] = field(default_factory=dict)  # task -> times chosen as parent
     # Derived, never persisted, not compared: the text of its layers, hparams
     # and mu manifest lines, which assumes the model's own system (its axis
     # order); its (test dataset, accuracy) once its blocks are settled; and,
@@ -145,10 +149,7 @@ class SystemState:
         self.rng = rng
         self.blocks: dict[int, LayerBlock] = {}
         self.models: dict[int, ModelSpec] = {}
-        self.refs: dict[int, dict[str, int]] = {}  # block -> task -> models
-        self.users: dict[int, int] = {}  # block -> models
         self.by_task: dict[str, dict[int, ModelSpec]] = {}  # task -> id -> model
-        self.selection_counts: dict[tuple[int, str], int] = {}
         self.task_paths: dict[str, str] = {}
         self.ever_trainable: set[int] = set()
         self.history: list = []
@@ -203,7 +204,7 @@ class SystemState:
         if any(k != HIDDEN for k in kinds[1:-1]):
             raise SystemError_(f"model {model.id} has a non-hidden interior block")
         head = model.head_id()
-        if any(task != model.task for task in self.refs.get(head, ())):
+        if any(task != model.task for task in self.block(head).refs):
             raise SystemError_(f"model {model.id} head block {head} is shared across tasks")
         self.space.validate_config(model.hparams)
         # the actions a model could ever take, whatever the mode and depth
@@ -223,11 +224,10 @@ class SystemState:
         self.validate_model(model)
         self.models[model.id] = model
         self.by_task.setdefault(model.task, {})[model.id] = model
-        for lid in model.layer_ids():
-            counts = self.refs.setdefault(lid, {})
-            counts[model.task] = counts.get(model.task, 0) + 1
-            self.users[lid] = self.users.get(lid, 0) + 1
         for lid, trainable in model.layers:
+            block = self.blocks[lid]
+            block.refs[model.task] = block.refs.get(model.task, 0) + 1
+            block.users += 1
             if trainable:
                 self.ever_trainable.add(lid)
 
@@ -238,27 +238,22 @@ class SystemState:
         del self.by_task[model.task][model.id]
         if not self.by_task[model.task]:
             del self.by_task[model.task]
-        for lid in model.layer_ids():
-            counts = self.refs[lid]
-            counts[model.task] -= 1
-            self.users[lid] -= 1
-            if not counts[model.task]:
-                del counts[model.task]
-                if not counts:
-                    del self.refs[lid], self.users[lid]
-        self.selection_counts = {k: v for k, v in self.selection_counts.items()
-                                 if k[0] != model.id}
+        for block in self.model_blocks(model):
+            block.refs[model.task] -= 1
+            block.users -= 1
+            if not block.refs[model.task]:
+                del block.refs[model.task]
         self.collect_garbage()
 
     def collect_garbage(self) -> None:
-        self.blocks = {bid: b for bid, b in self.blocks.items() if bid in self.refs}
+        self.blocks = {bid: b for bid, b in self.blocks.items() if b.users}
 
     # -- cost accounting -----------------------------------------------------
 
     def sharing_count(self, block_id: int, task: str) -> int:
         """Number of models for tasks other than ``task`` referencing the block."""
-        self.block(block_id)
-        return self.users.get(block_id, 0) - self.refs.get(block_id, {}).get(task, 0)
+        block = self.block(block_id)
+        return block.users - block.refs.get(task, 0)
 
     def accounted_params(self, model: ModelSpec) -> float:
         """Parameter cost of the model with shared blocks discounted.

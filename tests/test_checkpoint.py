@@ -50,7 +50,6 @@ def test_load_reproduces_every_field(tmp_path):
     assert system_digest(other) == system_digest(system)
     assert other.rng.state() == system.rng.state()
     assert other.task_paths == system.task_paths
-    assert other.selection_counts == system.selection_counts
     assert other.ever_trainable == system.ever_trainable
     assert other.iterations_done == system.iterations_done
     assert len(other.history) == len(system.history)
@@ -61,6 +60,7 @@ def test_load_reproduces_every_field(tmp_path):
         assert twin.hparams == model.hparams
         assert twin.mu == model.mu
         assert twin.quality == model.quality
+        assert twin.selections == model.selections
 
 
 def test_rng_resumes_mid_stream(tmp_path):
@@ -256,6 +256,37 @@ def test_negative_counts_are_rejected(tmp_path):
         assert text.count(old) == 1
         manifest.write_text(text.replace(old, new))
         with pytest.raises(CheckpointError, match=f"{reason}.*negative"):
+            load_checkpoint(str(tmp_path))
+
+
+def test_a_selection_line_naming_an_unlisted_model_is_rejected(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    lines = text.splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if line.startswith("selection "))
+    assert 999 not in system.models and 999 >= system.next_model_id
+    lines.insert(last + 1, "selection 999 t 3\n")
+    manifest.write_text("".join(lines))
+    with pytest.raises(CheckpointError,
+                       match=f"manifest line {last + 2}: selection 999 names no listed model"):
+        load_checkpoint(str(tmp_path))
+
+
+def test_an_evertrain_id_outside_the_blocks_counter_is_rejected(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    lines = text.splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if line.startswith("evertrain ")]
+    nb = system.next_block_id
+    # each id goes where the writer would sort it
+    for bid, at in ((nb, rows[-1] + 1), (99999, rows[-1] + 1), (-1, rows[0])):
+        manifest.write_text("".join(lines[:at] + [f"evertrain {bid}\n"] + lines[at:]))
+        with pytest.raises(CheckpointError, match=f"manifest line {at + 1}: "
+                           f"evertrain {bid} names no id below blocks={nb}"):
             load_checkpoint(str(tmp_path))
 
 

@@ -85,6 +85,13 @@ def test_acceptance_probability_is_exact_powers_of_half():
         assert parent_acceptance_probability(k) == 0.5 ** k
 
 
+def set_selection_counts(system, counts):
+    """Give each model exactly the counts ``counts`` holds for it under
+    (model id, task) keys, and none other."""
+    for model in system.models.values():
+        model.selections = {task: n for (mid, task), n in counts.items() if mid == model.id}
+
+
 def test_sample_parent_returns_best_active_when_counts_zero():
     system = fresh_system()
     ds = make_dataset("t", seed=40)
@@ -93,11 +100,11 @@ def test_sample_parent_returns_best_active_when_counts_zero():
     run_task_iteration(system, "u", make_dataset("u", seed=41), quick_config(), rng)
     active = system.models_for("t")
     assert len(active) == 1
-    system.selection_counts = {}
+    set_selection_counts(system, {})
     for _ in range(20):
         chosen = sample_parent(system, "t", active, rng)
         assert chosen.id == active[0].id
-        system.selection_counts = {}
+        set_selection_counts(system, {})
 
 
 def test_sample_parent_acceptance_frequency_for_count_two():
@@ -109,7 +116,7 @@ def test_sample_parent_acceptance_frequency_for_count_two():
     first = active[0]
     n, hits = 10_000, 0
     for _ in range(n):
-        system.selection_counts = {(first.id, "t"): 2}
+        set_selection_counts(system, {(first.id, "t"): 2})
         hits += sample_parent(system, "t", active, rng).id == first.id
     assert abs(hits / n - 0.25) < 0.01
 
@@ -120,7 +127,7 @@ def test_sample_parent_empty_active_draws_from_other_tasks():
     root = next(iter(system.models.values()))
     chosen = sample_parent(system, "newtask", [], rng)
     assert chosen.id == root.id
-    assert system.selection_counts[(root.id, "newtask")] == 1
+    assert root.selections["newtask"] == 1
 
 
 def test_sample_parent_fallback_is_uniform_and_counted():
@@ -133,10 +140,10 @@ def test_sample_parent_fallback_is_uniform_and_counted():
     n = 4000
     for _ in range(n):
         # huge selection counts force every candidate rejection
-        system.selection_counts = {(m.id, "t"): 64 for m in models}
+        set_selection_counts(system, {(m.id, "t"): 64 for m in models})
         chosen = sample_parent(system, "t", system.models_for("t"), rng)
         counts[chosen.id] += 1
-        assert system.selection_counts[(chosen.id, "t")] == 65
+        assert chosen.selections["t"] == 65
     for mid, hits in counts.items():
         assert abs(hits / n - 1 / len(models)) < 0.03
 
@@ -295,11 +302,13 @@ def test_selection_counts_persist_across_iterations():
     rng = Rng(11, "persist")
     cfg = quick_config()
     run_task_iteration(system, "t", ds, cfg, rng)
-    after_first = dict(system.selection_counts)
+    after_first = {m.id: dict(m.selections) for m in system.models.values()}
+    assert any(after_first.values())
     run_task_iteration(system, "t", ds, cfg, rng)
-    for key, count in after_first.items():
-        if key[0] in system.models:
-            assert system.selection_counts[key] >= count
+    for mid, counts in after_first.items():
+        if mid in system.models:
+            for task, count in counts.items():
+                assert system.models[mid].selections[task] >= count
 
 
 def test_metrics_snapshot_single_model_and_oracle_mean():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from evograft.checkpoint import load_checkpoint, save_checkpoint
@@ -294,7 +296,8 @@ def test_commit_rejects_a_model_that_lists_a_block_twice():
         with pytest.raises(SystemError_, match=f"model {twice.id} lists block {trunk[1]} "
                            "more than once"):
             system.commit_model(twice)
-    assert not system.models and not system.refs
+    assert not system.models
+    assert not any(b.refs or b.users for b in system.blocks.values())
 
 
 def test_flops_are_computed_once_per_committed_model(monkeypatch):
@@ -320,12 +323,23 @@ def test_flops_are_computed_once_per_committed_model(monkeypatch):
     assert computed == committed
 
 
+def referrers(system):
+    """Each block's referrer counts: per task, and in all."""
+    return {bid: (b.refs, b.users) for bid, b in system.blocks.items()}
+
+
 def check_against_brute_force(system, tasks):
     assert list(system.models) == sorted(system.models)
     assert list(system.blocks) == sorted(system.blocks)
     scan = [(m.task, set(m.layer_ids())) for m in system.models.values()]
     live = set().union(*(ids for _, ids in scan))
     assert set(system.blocks) == live
+    # each block's counts are a recount over the committed models alone, so
+    # no surviving block counts a discarded model
+    for bid, block in system.blocks.items():
+        tally = Counter(task for task, ids in scan if bid in ids)
+        assert block.refs == dict(tally)
+        assert block.users == tally.total()
     for bid in live:
         for task in tasks:
             brute = sum(1 for other, ids in scan if other != task and bid in ids)
@@ -393,13 +407,14 @@ def test_sharing_index_matches_brute_force_under_commits_and_discards(tmp_path):
         save_checkpoint(system, str(path))
         loaded = load_checkpoint(str(path))
         check_against_brute_force(loaded, checked)
-        assert loaded.refs == system.refs
+        assert referrers(loaded) == referrers(system)
 
         rng.shuffle(models)
         for victim in models:
             system.discard_model(victim)
             check_against_brute_force(system, checked)
         assert set(system.blocks) == set(root.layer_ids())
+        assert referrers(system) == {bid: ({"root": 1}, 1) for bid in root.layer_ids()}
 
 
 def check_task_index(system):
