@@ -327,8 +327,8 @@ def _build(body: str, records: dict, pack: str, at: list) -> SystemState:
             raise ValueError(f"model {mid} does not validate: {exc}") from None
     for rest in each("selection"):
         mid, task, count = rest.split()
-        if int(count) < 0:
-            raise ValueError(f"selection {mid} {task} has a negative count {count}")
+        if int(count) < 1:
+            raise ValueError(f"selection {mid} {task} has a zero or negative count {count}")
         if int(mid) not in system.models:
             raise ValueError(f"selection {mid} names no listed model")
         system.models[int(mid)].selections[task] = int(count)

@@ -15,8 +15,16 @@ committed (``SystemState.validate_model``); the forward pass trusts it.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
+import logging
 import math
+import mmap
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,16 @@ from .system import ModelSpec, SystemState
 # Evaluation forwards at most this many images at once. Another chunk size
 # can change the BLAS sums, so it is fixed.
 EVAL_CHUNK = 256
+
+# A cycle of at least this many steps makes its batches in the batch helper; a
+# shorter one does not repay the round trips (break-even table in CHANGES.md).
+MIN_PIPELINED_STEPS = 4
+
+# malloc thresholds that keep the helper's heap resident: with glibc's defaults
+# it took ~160 minor page faults a 16-image batch at resolution 32, none with these
+_HELPER_TUNABLES = "glibc.malloc.trim_threshold=268435456:glibc.malloc.mmap_threshold=33554432"
+
+log = logging.getLogger(__name__)
 
 
 class TrainerError(ValueError):
@@ -323,7 +341,9 @@ def train_cycle(system: SystemState, model: ModelSpec, dataset: TaskDataset,
 
     The learning-rate schedule spans total_cycles * steps_per_cycle updates so
     successive cycles continue a single warmup/decay curve. Only the model's
-    trainable blocks are written.
+    trainable blocks are written. A cycle of ``MIN_PIPELINED_STEPS`` steps or
+    more has its batches made in the batch helper, with the same bytes and
+    draws as in process.
     """
     images, labels = dataset.split("train")
     if len(images) == 0:
@@ -336,19 +356,161 @@ def train_cycle(system: SystemState, model: ModelSpec, dataset: TaskDataset,
     steps_per_cycle = math.ceil(n / budget.batch_size)
     total_steps = total_cycles * steps_per_cycle
     hp = model.hparams
+    make = _pipelined_batches if steps_per_cycle >= MIN_PIPELINED_STEPS else _cycle_batches
+    batches = make(images, hp, rng, order, budget.batch_size)
     losses = []
-    for step_i, start in enumerate(range(0, n, budget.batch_size)):
-        idx = order[start:start + budget.batch_size]
-        batch = preprocess_batch(images[idx], hp, rng, train_mode=True)
-        lr = lr_at(cycle_index * steps_per_cycle + step_i, total_steps,
-                   hp["learning_rate"], hp["warmup_ratio"])
-        loss_value, grads = loss_and_gradients(system, model, batch, labels[idx])
-        for bid, grad in grads.items():
-            block = system.block(bid)
-            sgd_step(block.params, block.opt, grad, lr, hp["momentum"], hp["nesterov"])
-        losses.append(loss_value)
+    try:
+        for step_i, (idx, batch) in enumerate(batches):
+            lr = lr_at(cycle_index * steps_per_cycle + step_i, total_steps,
+                       hp["learning_rate"], hp["warmup_ratio"])
+            loss_value, grads = loss_and_gradients(system, model, batch, labels[idx])
+            for bid, grad in grads.items():
+                block = system.block(bid)
+                sgd_step(block.params, block.opt, grad, lr, hp["momentum"], hp["nesterov"])
+            losses.append(loss_value)
+    finally:
+        batches.close()
     return CycleStats(samples=n, steps=steps_per_cycle,
                       mean_loss=float(np.mean(losses)))
+
+
+def _cycle_batches(images: np.ndarray, hparams: dict, rng: Rng, order: list[int],
+                   batch_size: int):
+    """A cycle's train batches in order, each with its images' indices: the
+    one definition of them, run in process or in the batch helper."""
+    for start in range(0, len(order), batch_size):
+        idx = order[start:start + batch_size]
+        yield idx, preprocess_batch(images[idx], hparams, rng, train_mode=True)
+
+
+# -- the batch helper --------------------------------------------------------------
+# One per process: it holds nothing that affects a result, since each cycle's
+# job carries all of its inputs.
+
+_helper = None
+_helper_failed = False  # once no helper could start, long cycles stay in process
+
+
+def _pipelined_batches(images: np.ndarray, hparams: dict, rng: Rng, order: list[int],
+                       batch_size: int):
+    """``_cycle_batches`` made one step ahead in the batch helper. ``rng``
+    takes the helper's counter with each batch, so if no helper can start, or
+    it dies, the rest of the cycle is made in process from where it stood."""
+    global _helper, _helper_failed
+    if _helper is None and not _helper_failed:
+        try:
+            _helper = _BatchHelper()
+        except (OSError, AttributeError) as exc:  # AttributeError: no os.memfd_create
+            _helper_failed = True
+            log.warning("cannot start the train batch helper (%s); "
+                        "every cycle makes its batches in process", exc)
+    made = 0
+    if _helper is not None:
+        try:
+            for item in _helper.batches(images, hparams, rng, order, batch_size):
+                yield item
+                made += 1
+            return
+        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+            log.warning("the train batch helper died (%s); the cycle goes on in process", exc)
+            _close_helper()
+        except BaseException:  # an error in the helper, or the cycle was left mid-way
+            _close_helper()
+            raise
+    yield from _cycle_batches(images, hparams, rng, order[made * batch_size:], batch_size)
+
+
+def _close_helper() -> None:
+    global _helper
+    if _helper is not None:
+        helper, _helper = _helper, None
+        helper.close()
+
+
+atexit.register(_close_helper)
+
+
+class _BatchHelper:
+    """A fresh interpreter running ``_serve``. Jobs and slot releases go down
+    its stdin and replies come up its stdout, pickled; the batches themselves
+    go through a ring of two slots in a shared memory file."""
+
+    def __init__(self):
+        self.fd = os.memfd_create("evograft-batches")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        # the user's own tunables come last, so glibc keeps them
+        env = dict(os.environ, GLIBC_TUNABLES=":".join(
+            filter(None, (_HELPER_TUNABLES, os.environ.get("GLIBC_TUNABLES")))))
+        code = (f"import sys; sys.path.insert(0, {root!r}); "
+                f"from evograft.trainer import _serve; _serve({self.fd})")
+        try:
+            self.proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, pass_fds=(self.fd,), env=env,
+                                         start_new_session=True)
+        except OSError:
+            os.close(self.fd)
+            raise
+        self.slots = np.empty((2, 0), np.float32)
+
+    def batches(self, images, hparams, rng, order, batch_size):
+        res, channels = hparams[RESOLUTION_AXIS], images.shape[3]
+        per_image = res * res * channels
+        if batch_size * per_image > self.slots.shape[1]:
+            size = 2 * 4 * batch_size * per_image
+            os.ftruncate(self.fd, size)
+            self.slots = np.frombuffer(mmap.mmap(self.fd, size), np.float32).reshape(2, -1)
+        self._send((images, hparams, rng.state(), order, batch_size, self.slots.nbytes))
+        for _ in range(0, len(order), batch_size):
+            reply = pickle.load(self.proc.stdout)
+            if isinstance(reply, str):
+                raise TrainerError(reply)
+            slot, idx, rng.counter = reply
+            yield idx, self.slots[slot, :len(idx) * per_image].reshape(len(idx), res, res,
+                                                                       channels)
+            self._send(slot)  # this step's SGD is done with the slot
+
+    def _send(self, message) -> None:
+        pickle.dump(message, self.proc.stdin)
+        self.proc.stdin.flush()
+
+    def close(self) -> None:
+        """Close the job pipe, so the helper reads EOF and exits, then reap it."""
+        with contextlib.suppress(BrokenPipeError):  # a dead helper left bytes unsent
+            self.proc.stdin.close()
+        self.proc.wait()
+        self.proc.stdout.close()
+        os.close(self.fd)
+
+
+def _serve(fd: int) -> None:
+    """The batch helper's loop: run each job's ``_cycle_batches`` into the
+    ring at ``fd``, writing batch k to slot k % 2 once the main process has
+    released batch k - 2. It exits on EOF, which is also what it reads when
+    the main process dies."""
+    jobs, replies = sys.stdin.buffer, sys.stdout.buffer
+    slots = np.empty((2, 0), np.float32)
+    try:
+        while True:
+            images, hparams, state, order, batch_size, size = pickle.load(jobs)
+            if slots.nbytes != size:
+                slots = np.frombuffer(mmap.mmap(fd, size), np.float32).reshape(2, -1)
+            rng = Rng(*state)
+            try:
+                for k, (idx, batch) in enumerate(
+                        _cycle_batches(images, hparams, rng, order, batch_size)):
+                    if k >= 2:
+                        pickle.load(jobs)  # the release of slot k % 2
+                    slots[k % 2, :batch.size] = batch.ravel()
+                    pickle.dump((k % 2, idx, rng.counter), replies)
+                    replies.flush()
+            except TrainerError as exc:
+                pickle.dump(str(exc), replies)
+                replies.flush()
+                return
+            for _ in range(min(k + 1, 2)):
+                pickle.load(jobs)  # the releases of the last slots
+    except EOFError:
+        return
 
 
 def evaluate(system: SystemState, model: ModelSpec, images: np.ndarray,

@@ -259,6 +259,22 @@ def test_negative_counts_are_rejected(tmp_path):
             load_checkpoint(str(tmp_path))
 
 
+def test_a_zero_selection_count_is_rejected(tmp_path):
+    # no save writes a 0 (a count exists once a model was selected), and a
+    # model holding one compares unequal to the same model without it
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    lines = manifest.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("selection "))
+    mid, task = lines[at].split()[1:3]
+    lines[at] = f"selection {mid} {task} 0\n"
+    manifest.write_text("".join(lines))
+    with pytest.raises(CheckpointError, match=f"manifest line {at + 1}: selection {mid} {task} "
+                                              "has a zero or negative count 0"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_a_selection_line_naming_an_unlisted_model_is_rejected(tmp_path):
     system = evolved_system()
     save_checkpoint(system, str(tmp_path))

@@ -77,7 +77,24 @@ def test_three_task_trajectory_digest_is_pinned():
                         recalibrate=10.0, children=2)]
     run_plan(system, plan, datasets, quick_config())
     assert system_digest(system) == ("622650cfa0e7fb78c7888be3fe39db25"
-                                     "3c1cbcbcd17cf42b18581661df07b99d")
+                                     "3c1cbcbcd17cf42b18581661df07b99d"), (
+        f"the pin was measured under OpenBLAS core SkylakeX; this run's core is "
+        f"{openblas_core()}, and another core sums in another order")
+
+
+def openblas_core() -> str:
+    """The core numpy's bundled OpenBLAS picked, read as CI's kernels step reads it."""
+    import ctypes
+    import glob
+    import os
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
 
 
 def test_acceptance_probability_is_exact_powers_of_half():

@@ -1,4 +1,10 @@
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -554,3 +560,183 @@ def test_train_preprocessing_matches_the_reference_at_crop_plan_edges(desk_space
                     seen.add("all flipped" if flipped.all() else
                              "none flipped" if not flipped.any() else "some flipped")
     assert seen == {"all flipped", "none flipped", "some flipped"}
+
+
+# -- the batch helper ------------------------------------------------------------
+# A cycle of MIN_PIPELINED_STEPS steps or more has its batches made in a helper
+# process. The in-process path is the reference: the same blocks, losses and
+# rng draws, whichever path made the batches.
+
+def train_cycles(monkeypatch, pipelined, hparam_sets, budget=TrainBudget(batch_size=16)):
+    """A fresh child trained one cycle per entry of ``hparam_sets`` on 100
+    images, pipelined or in process: its trainable blocks' bytes, the cycles'
+    mean losses and the rng state, then the train batches made in this
+    process and the helper's ring size after each cycle."""
+    from evograft.evolution import bootstrap_system
+    from evograft.search_space import load_builtin_space
+    monkeypatch.setattr(trainer, "MIN_PIPELINED_STEPS", 1 if pipelined else 10 ** 9)
+    made_here, real_preprocess = [], trainer.preprocess_batch
+
+    def counted(images, hparams, rng, train_mode):
+        made_here.append(train_mode)
+        return real_preprocess(images, hparams, rng, train_mode)
+
+    monkeypatch.setattr(trainer, "preprocess_batch", counted)
+    system = bootstrap_system(load_builtin_space("desk"), seed=11, width=8, depth=3,
+                              patch=8, channels=3)
+    root = next(m for m in system.models.values() if m.task == "root")
+    rng = Rng(14, "pipe")
+    child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD, clone_action(0)}, "t", 4, rng)
+    system.commit_model(child)
+    ds = make_dataset("t", classes=4, n_train=100, seed=15)
+    losses, ring = [], []
+    for cycle, hparams in enumerate(hparam_sets):
+        child.hparams.update(hparams)
+        losses.append(train_cycle(system, child, ds, budget, cycle, len(hparam_sets),
+                                  rng).mean_loss)
+        ring.append(trainer._helper.slots.nbytes if trainer._helper else 0)
+    blocks = [system.block(bid).params.tobytes() for bid in child.trainable_ids()]
+    return (blocks, losses, rng.state()), sum(made_here), ring
+
+
+@pytest.mark.parametrize("hparams, budget", [
+    # 100 images in batches of 16: six full batches, then a short one of 4
+    ({"flip": False}, TrainBudget(batch_size=16)),
+    ({"flip": True}, TrainBudget(batch_size=16)),
+    *(({"flip": True, "resolution": 32, axis: 0.1}, TrainBudget(batch_size=16))
+      for axis in JITTER_AXES),
+    # a cap below the split: 40 of the 100 images, the last batch of 8
+    ({"flip": True, "contrast_delta": 0.05}, TrainBudget(samples_cap=40, batch_size=16)),
+])
+def test_pipelined_cycles_match_in_process_cycles(monkeypatch, hparams, budget):
+    piped, made_here, _ = train_cycles(monkeypatch, True, [hparams] * 2, budget)
+    assert made_here == 0  # every train batch came from the helper
+    in_process, made_here, _ = train_cycles(monkeypatch, False, [hparams] * 2, budget)
+    assert made_here == 2 * math.ceil(min(100, budget.samples_cap) / 16)
+    assert piped == in_process
+
+
+def test_a_resolution_rise_grows_the_helper_ring(monkeypatch):
+    trainer._close_helper()
+    rise = [{"resolution": 16}, {"resolution": 32}]
+    piped, _, ring = train_cycles(monkeypatch, True, rise)
+    assert 0 < ring[0] < ring[1]
+    assert piped == train_cycles(monkeypatch, False, rise)[0]
+
+
+def test_a_preprocessing_error_in_the_helper_reaches_the_caller(small_system, monkeypatch):
+    monkeypatch.setattr(trainer, "MIN_PIPELINED_STEPS", 1)
+    root = next(m for m in small_system.models.values() if m.task == "root")
+    ds = make_dataset("t", classes=4, n_train=40, seed=17)
+    images, labels = ds.splits["train"]
+    ds.splits["train"] = (images.astype(np.float64), labels)
+    with pytest.raises(TrainerError) as in_process:
+        preprocess_batch(ds.splits["train"][0][:8], root.hparams, Rng(1, "e"), train_mode=True)
+    with pytest.raises(TrainerError) as piped:
+        train_cycle(small_system, root, ds, TrainBudget(batch_size=8), 0, 1, Rng(1, "e"))
+    assert str(piped.value) == str(in_process.value)
+    assert trainer._helper is None
+
+
+def test_a_helper_that_cannot_start_leaves_cycles_in_process(monkeypatch, caplog):
+    trainer._close_helper()
+    monkeypatch.setattr(trainer, "_helper_failed", False)
+
+    def no_process(*args, **kwargs):
+        raise OSError("no process for you")
+
+    monkeypatch.setattr(trainer.subprocess, "Popen", no_process)
+    piped, made_here, _ = train_cycles(monkeypatch, True, [{"flip": True}] * 3)
+    assert made_here == 3 * 7 and trainer._helper is None
+    assert [r.message for r in caplog.records].count(
+        "cannot start the train batch helper (no process for you); "
+        "every cycle makes its batches in process") == 1
+    monkeypatch.undo()
+    assert piped == train_cycles(monkeypatch, False, [{"flip": True}] * 3)[0]
+
+
+def test_a_cycle_left_mid_way_closes_the_helper_and_keeps_the_draws(desk_space):
+    images = np.random.default_rng(3).integers(0, 256, size=(40, 16, 16, 3), dtype=np.uint8)
+    hp = desk_space.default_config()
+    hp["flip"] = True
+    piped_rng, in_process_rng = Rng(5, "left"), Rng(5, "left")
+    batches = trainer._pipelined_batches(images, hp, piped_rng, list(range(40)), 8)
+    reference = trainer._cycle_batches(images, hp, in_process_rng, list(range(40)), 8)
+    for _ in range(2):
+        assert next(batches)[1].tobytes() == next(reference)[1].tobytes()
+    proc = trainer._helper.proc
+    batches.close()
+    assert trainer._helper is None and proc.returncode is not None
+    assert piped_rng.state() == in_process_rng.state()
+
+
+def test_a_cycle_goes_on_in_process_when_the_helper_dies(desk_space, caplog):
+    images = np.random.default_rng(4).integers(0, 256, size=(40, 16, 16, 3), dtype=np.uint8)
+    hp = desk_space.default_config()
+    hp["flip"] = True
+    piped_rng, in_process_rng = Rng(6, "died"), Rng(6, "died")
+    batches = trainer._pipelined_batches(images, hp, piped_rng, list(range(40)), 8)
+    made = [next(batches)[1].tobytes()]
+    trainer._helper.proc.kill()
+    trainer._helper.proc.wait(timeout=10)
+    made += [batch.tobytes() for _, batch in batches]
+    reference = trainer._cycle_batches(images, hp, in_process_rng, list(range(40)), 8)
+    assert made == [batch.tobytes() for _, batch in reference]
+    assert piped_rng.state() == in_process_rng.state() and trainer._helper is None
+    assert any("the train batch helper died" in r.message for r in caplog.records)
+
+
+LONG_CYCLE_SCRIPT = """
+import sys, time
+import numpy as np
+from evograft import trainer
+from evograft.rng import Rng
+from evograft.search_space import load_builtin_space
+hp = load_builtin_space("desk").default_config()
+images = np.zeros((64, 16, 16, 3), np.uint8)
+batches = trainer._pipelined_batches(images, hp, Rng(1, "s"), list(range(64)), 8)
+for step, _ in enumerate(batches):
+    if step == 0:
+        print(trainer._helper.proc.pid, flush=True)
+    if step == int(sys.argv[1]):
+        time.sleep(60)
+"""
+
+
+def helper_running(pid: int) -> bool:
+    # a helper whose parent was killed may stay a zombie until init reaps it
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def start_long_cycle(stop_at: int):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-c", LONG_CYCLE_SCRIPT,
+                             str(stop_at)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    ready, _, _ = select.select([proc.stdout], [], [], 30)
+    assert ready, "the script printed no helper pid"
+    return proc, int(proc.stdout.readline())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_a_script_with_a_long_cycle_exits_cleanly():
+    proc, helper = start_long_cycle(-1)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == ""
+    assert not helper_running(helper)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_the_helper_exits_when_its_parent_is_killed():
+    proc, helper = start_long_cycle(1)
+    assert helper_running(helper)
+    proc.send_signal(signal.SIGKILL)
+    proc.communicate(timeout=10)
+    deadline = time.monotonic() + 5
+    while helper_running(helper) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not helper_running(helper)
