@@ -120,6 +120,8 @@ def read_task_meta(path: str) -> TaskDataset:
         except ValueError:
             raise DatasetError(
                 f"{meta_path}: {key}= is not an integer: {fields[key]!r}") from None
+        if dims[-1] < 1:
+            raise DatasetError(f"{meta_path}: {key}= must be at least 1, got {dims[-1]}")
     return TaskDataset(name, *dims)
 
 

@@ -20,7 +20,6 @@ import contextlib
 import functools
 import logging
 import math
-import mmap
 import os
 import pickle
 import subprocess
@@ -42,6 +41,10 @@ EVAL_CHUNK = 256
 # A cycle of at least this many steps makes its batches in the batch helper; a
 # shorter one does not repay the round trips (break-even table in CHANGES.md).
 MIN_PIPELINED_STEPS = 4
+
+# The helper's stdout pipe holds this many bytes, so it can run batches ahead; with
+# Linux's default 64 KiB, pairs-evolve ran 5% fewer ops a minute (ROADMAP.md)
+HELPER_PIPE_BYTES = 1 << 20
 
 # malloc thresholds that keep the helper's heap resident: with glibc's defaults
 # it took ~160 minor page faults a 16-image batch at resolution 32, none with these
@@ -393,14 +396,15 @@ _helper_failed = False  # once no helper could start, long cycles stay in proces
 
 def _pipelined_batches(images: np.ndarray, hparams: dict, rng: Rng, order: list[int],
                        batch_size: int):
-    """``_cycle_batches`` made one step ahead in the batch helper. ``rng``
-    takes the helper's counter with each batch, so if no helper can start, or
-    it dies, the rest of the cycle is made in process from where it stood."""
+    """``_cycle_batches`` made ahead in the batch helper. A yielded batch is
+    valid only until the next batch is asked for. ``rng`` takes the helper's
+    counter with each batch, so if no helper can start, or it dies, the rest
+    of the cycle is made in process from where it stood."""
     global _helper, _helper_failed
     if _helper is None and not _helper_failed:
         try:
             _helper = _BatchHelper()
-        except (OSError, AttributeError) as exc:  # AttributeError: no os.memfd_create
+        except (OSError, AttributeError, ImportError) as exc:  # no F_SETPIPE_SZ or fcntl
             _helper_failed = True
             log.warning("cannot start the train batch helper (%s); "
                         "every cycle makes its batches in process", exc)
@@ -431,86 +435,74 @@ atexit.register(_close_helper)
 
 
 class _BatchHelper:
-    """A fresh interpreter running ``_serve``. Jobs and slot releases go down
-    its stdin and replies come up its stdout, pickled; the batches themselves
-    go through a ring of two slots in a shared memory file."""
+    """A fresh interpreter running ``_serve``. Jobs go down its stdin, pickled;
+    each batch comes up its stdout as a pickled header, then its float32
+    bytes, read into one buffer that every batch reuses."""
 
     def __init__(self):
-        self.fd = os.memfd_create("evograft-batches")
+        import fcntl  # fcntl and F_SETPIPE_SZ are looked up before a process starts
+        set_pipe_size = fcntl.F_SETPIPE_SZ
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         # the user's own tunables come last, so glibc keeps them
         env = dict(os.environ, GLIBC_TUNABLES=":".join(
             filter(None, (_HELPER_TUNABLES, os.environ.get("GLIBC_TUNABLES")))))
         code = (f"import sys; sys.path.insert(0, {root!r}); "
-                f"from evograft.trainer import _serve; _serve({self.fd})")
+                f"from evograft.trainer import _serve; _serve()")
+        self.proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, env=env, start_new_session=True)
         try:
-            self.proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
-                                         stdout=subprocess.PIPE, pass_fds=(self.fd,), env=env,
-                                         start_new_session=True)
+            fcntl.fcntl(self.proc.stdout, set_pipe_size, HELPER_PIPE_BYTES)
         except OSError:
-            os.close(self.fd)
+            self.close()
             raise
-        self.slots = np.empty((2, 0), np.float32)
+        self.buffer = np.empty(0, np.float32)
 
     def batches(self, images, hparams, rng, order, batch_size):
         res, channels = hparams[RESOLUTION_AXIS], images.shape[3]
         per_image = res * res * channels
-        if batch_size * per_image > self.slots.shape[1]:
-            size = 2 * 4 * batch_size * per_image
-            os.ftruncate(self.fd, size)
-            self.slots = np.frombuffer(mmap.mmap(self.fd, size), np.float32).reshape(2, -1)
-        self._send((images, hparams, rng.state(), order, batch_size, self.slots.nbytes))
+        if batch_size * per_image > self.buffer.size:
+            self.buffer = np.empty(batch_size * per_image, np.float32)
+        pickle.dump((images, hparams, rng.state(), order, batch_size), self.proc.stdin)
+        self.proc.stdin.flush()
         for _ in range(0, len(order), batch_size):
             reply = pickle.load(self.proc.stdout)
             if isinstance(reply, str):
                 raise TrainerError(reply)
-            slot, idx, rng.counter = reply
-            yield idx, self.slots[slot, :len(idx) * per_image].reshape(len(idx), res, res,
-                                                                       channels)
-            self._send(slot)  # this step's SGD is done with the slot
-
-    def _send(self, message) -> None:
-        pickle.dump(message, self.proc.stdin)
-        self.proc.stdin.flush()
+            idx, counter = reply
+            batch = self.buffer[:len(idx) * per_image]
+            if self.proc.stdout.readinto(batch) != batch.nbytes:
+                raise EOFError("a batch was cut short")
+            rng.counter = counter  # only now, so a cut batch is made again from its start
+            yield idx, batch.reshape(len(idx), res, res, channels)
 
     def close(self) -> None:
-        """Close the job pipe, so the helper reads EOF and exits, then reap it."""
+        """Close both pipes, so the helper reads EOF or fails a write, then reap
+        it; a wait before stdout is closed hangs on a helper blocked writing."""
         with contextlib.suppress(BrokenPipeError):  # a dead helper left bytes unsent
             self.proc.stdin.close()
-        self.proc.wait()
         self.proc.stdout.close()
-        os.close(self.fd)
+        self.proc.wait()
 
 
-def _serve(fd: int) -> None:
-    """The batch helper's loop: run each job's ``_cycle_batches`` into the
-    ring at ``fd``, writing batch k to slot k % 2 once the main process has
-    released batch k - 2. It exits on EOF, which is also what it reads when
-    the main process dies."""
+def _serve() -> None:
+    """The batch helper's loop: write each job's ``_cycle_batches`` to stdout,
+    each batch as the pickled ``(idx, rng counter)``, then its bytes. It exits
+    on EOF or a broken pipe, which is also what it meets when the main process
+    dies."""
     jobs, replies = sys.stdin.buffer, sys.stdout.buffer
-    slots = np.empty((2, 0), np.float32)
-    try:
+    with contextlib.suppress(EOFError, BrokenPipeError):
         while True:
-            images, hparams, state, order, batch_size, size = pickle.load(jobs)
-            if slots.nbytes != size:
-                slots = np.frombuffer(mmap.mmap(fd, size), np.float32).reshape(2, -1)
+            images, hparams, state, order, batch_size = pickle.load(jobs)
             rng = Rng(*state)
             try:
-                for k, (idx, batch) in enumerate(
-                        _cycle_batches(images, hparams, rng, order, batch_size)):
-                    if k >= 2:
-                        pickle.load(jobs)  # the release of slot k % 2
-                    slots[k % 2, :batch.size] = batch.ravel()
-                    pickle.dump((k % 2, idx, rng.counter), replies)
+                for idx, batch in _cycle_batches(images, hparams, rng, order, batch_size):
+                    pickle.dump((idx, rng.counter), replies)
+                    replies.write(batch)
                     replies.flush()
             except TrainerError as exc:
                 pickle.dump(str(exc), replies)
                 replies.flush()
                 return
-            for _ in range(min(k + 1, 2)):
-                pickle.load(jobs)  # the releases of the last slots
-    except EOFError:
-        return
 
 
 def evaluate(system: SystemState, model: ModelSpec, images: np.ndarray,

@@ -70,6 +70,24 @@ def test_non_integer_meta_field_names_the_file_and_the_field(tmp_path):
             read_task_meta(str(tmp_path))
 
 
+def test_a_meta_size_below_one_names_the_file_and_the_field(tmp_path):
+    good = {"name": "alpha", "classes": "4", "h": "8", "w": "8", "c": "3"}
+    for field in ("classes", "h", "w", "c"):
+        for bad in ("0", "-2"):
+            fields = dict(good, **{field: bad})
+            (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+            with pytest.raises(DatasetError, match=rf"meta\b.*\b{field}= must be at least 1, "
+                                                   rf"got {bad}$"):
+                read_task_meta(str(tmp_path))
+    # h=0 w=0 with empty splits used to load, then fail in run_plan at a numpy reshape
+    (tmp_path / "meta").write_text("name=alpha\nclasses=4\nh=0\nw=0\nc=3\n")
+    for split in ("train", "val", "test"):
+        write_split(str(tmp_path / f"{split}.bin"), np.zeros((0, 0, 0, 3), np.uint8),
+                    np.zeros(0, np.int64))
+    with pytest.raises(DatasetError, match=r"meta\b.*\bh= must be at least 1"):
+        load_task_dir(str(tmp_path))
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\0" * 32)

@@ -571,7 +571,7 @@ def train_cycles(monkeypatch, pipelined, hparam_sets, budget=TrainBudget(batch_s
     """A fresh child trained one cycle per entry of ``hparam_sets`` on 100
     images, pipelined or in process: its trainable blocks' bytes, the cycles'
     mean losses and the rng state, then the train batches made in this
-    process and the helper's ring size after each cycle."""
+    process."""
     from evograft.evolution import bootstrap_system
     from evograft.search_space import load_builtin_space
     monkeypatch.setattr(trainer, "MIN_PIPELINED_STEPS", 1 if pipelined else 10 ** 9)
@@ -589,14 +589,13 @@ def train_cycles(monkeypatch, pipelined, hparam_sets, budget=TrainBudget(batch_s
     child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD, clone_action(0)}, "t", 4, rng)
     system.commit_model(child)
     ds = make_dataset("t", classes=4, n_train=100, seed=15)
-    losses, ring = [], []
+    losses = []
     for cycle, hparams in enumerate(hparam_sets):
         child.hparams.update(hparams)
         losses.append(train_cycle(system, child, ds, budget, cycle, len(hparam_sets),
                                   rng).mean_loss)
-        ring.append(trainer._helper.slots.nbytes if trainer._helper else 0)
     blocks = [system.block(bid).params.tobytes() for bid in child.trainable_ids()]
-    return (blocks, losses, rng.state()), sum(made_here), ring
+    return (blocks, losses, rng.state()), sum(made_here)
 
 
 @pytest.mark.parametrize("hparams, budget", [
@@ -609,18 +608,18 @@ def train_cycles(monkeypatch, pipelined, hparam_sets, budget=TrainBudget(batch_s
     ({"flip": True, "contrast_delta": 0.05}, TrainBudget(samples_cap=40, batch_size=16)),
 ])
 def test_pipelined_cycles_match_in_process_cycles(monkeypatch, hparams, budget):
-    piped, made_here, _ = train_cycles(monkeypatch, True, [hparams] * 2, budget)
+    piped, made_here = train_cycles(monkeypatch, True, [hparams] * 2, budget)
     assert made_here == 0  # every train batch came from the helper
-    in_process, made_here, _ = train_cycles(monkeypatch, False, [hparams] * 2, budget)
+    in_process, made_here = train_cycles(monkeypatch, False, [hparams] * 2, budget)
     assert made_here == 2 * math.ceil(min(100, budget.samples_cap) / 16)
     assert piped == in_process
 
 
-def test_a_resolution_rise_grows_the_helper_ring(monkeypatch):
+def test_a_resolution_rise_gives_the_same_cycles_piped_as_in_process(monkeypatch):
     trainer._close_helper()
     rise = [{"resolution": 16}, {"resolution": 32}]
-    piped, _, ring = train_cycles(monkeypatch, True, rise)
-    assert 0 < ring[0] < ring[1]
+    piped, made_here = train_cycles(monkeypatch, True, rise)
+    assert made_here == 0
     assert piped == train_cycles(monkeypatch, False, rise)[0]
 
 
@@ -646,13 +645,44 @@ def test_a_helper_that_cannot_start_leaves_cycles_in_process(monkeypatch, caplog
         raise OSError("no process for you")
 
     monkeypatch.setattr(trainer.subprocess, "Popen", no_process)
-    piped, made_here, _ = train_cycles(monkeypatch, True, [{"flip": True}] * 3)
+    piped, made_here = train_cycles(monkeypatch, True, [{"flip": True}] * 3)
     assert made_here == 3 * 7 and trainer._helper is None
     assert [r.message for r in caplog.records].count(
         "cannot start the train batch helper (no process for you); "
         "every cycle makes its batches in process") == 1
     monkeypatch.undo()
     assert piped == train_cycles(monkeypatch, False, [{"flip": True}] * 3)[0]
+
+
+@pytest.mark.parametrize("refusal", ["no F_SETPIPE_SZ", "F_SETPIPE_SZ not permitted"])
+def test_a_helper_pipe_that_cannot_be_sized_leaves_cycles_in_process(monkeypatch, caplog,
+                                                                      refusal):
+    import fcntl
+    trainer._close_helper()
+    monkeypatch.setattr(trainer, "_helper_failed", False)
+    started, real_popen = [], subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    def not_permitted(fd, cmd, arg):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(trainer.subprocess, "Popen", popen)
+    if refusal == "no F_SETPIPE_SZ":
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+    else:
+        monkeypatch.setattr(fcntl, "fcntl", not_permitted)
+    piped, made_here = train_cycles(monkeypatch, True, [{"flip": True}] * 2)
+    assert made_here == 2 * 7 and trainer._helper is None
+    # a helper started before the refusal is reaped, and no second one starts
+    assert len(started) == (refusal != "no F_SETPIPE_SZ")
+    assert all(proc.returncode is not None for proc in started)
+    assert [r.message.startswith("cannot start the train batch helper")
+            for r in caplog.records].count(True) == 1
+    monkeypatch.undo()
+    assert piped == train_cycles(monkeypatch, False, [{"flip": True}] * 2)[0]
 
 
 def test_a_cycle_left_mid_way_closes_the_helper_and_keeps_the_draws(desk_space):
@@ -671,19 +701,38 @@ def test_a_cycle_left_mid_way_closes_the_helper_and_keeps_the_draws(desk_space):
 
 
 def test_a_cycle_goes_on_in_process_when_the_helper_dies(desk_space, caplog):
-    images = np.random.default_rng(4).integers(0, 256, size=(40, 16, 16, 3), dtype=np.uint8)
-    hp = desk_space.default_config()
-    hp["flip"] = True
+    # 25 batches of 96 KiB: the 24 left unread at the kill are more than the helper's
+    # pipe holds, so some were never made and the death is seen in this cycle
+    images = np.random.default_rng(4).integers(0, 256, size=(200, 16, 16, 3), dtype=np.uint8)
+    hp = dict(desk_space.default_config(), flip=True, resolution=32)
+    assert 24 * 8 * 32 * 32 * 3 * 4 > trainer.HELPER_PIPE_BYTES
     piped_rng, in_process_rng = Rng(6, "died"), Rng(6, "died")
-    batches = trainer._pipelined_batches(images, hp, piped_rng, list(range(40)), 8)
+    batches = trainer._pipelined_batches(images, hp, piped_rng, list(range(200)), 8)
     made = [next(batches)[1].tobytes()]
     trainer._helper.proc.kill()
     trainer._helper.proc.wait(timeout=10)
     made += [batch.tobytes() for _, batch in batches]
-    reference = trainer._cycle_batches(images, hp, in_process_rng, list(range(40)), 8)
+    reference = trainer._cycle_batches(images, hp, in_process_rng, list(range(200)), 8)
     assert made == [batch.tobytes() for _, batch in reference]
     assert piped_rng.state() == in_process_rng.state() and trainer._helper is None
     assert any("the train batch helper died" in r.message for r in caplog.records)
+
+
+def test_a_batch_cut_short_is_made_again_in_process(desk_space, monkeypatch, caplog):
+    images = np.random.default_rng(5).integers(0, 256, size=(40, 16, 16, 3), dtype=np.uint8)
+    hp = dict(desk_space.default_config(), flip=True)
+    piped_rng, in_process_rng = Rng(7, "cut"), Rng(7, "cut")
+    batches = trainer._pipelined_batches(images, hp, piped_rng, list(range(40)), 8)
+    made = [next(batches)[1].tobytes()]
+    stdout = trainer._helper.proc.stdout
+    real_readinto = stdout.readinto
+    monkeypatch.setattr(stdout, "readinto", lambda batch: real_readinto(
+        memoryview(batch).cast("B")[:batch.nbytes // 2]))
+    made += [batch.tobytes() for _, batch in batches]
+    reference = trainer._cycle_batches(images, hp, in_process_rng, list(range(40)), 8)
+    assert made == [batch.tobytes() for _, batch in reference]
+    assert piped_rng.state() == in_process_rng.state() and trainer._helper is None
+    assert any("a batch was cut short" in r.message for r in caplog.records)
 
 
 LONG_CYCLE_SCRIPT = """
@@ -728,6 +777,34 @@ def test_a_script_with_a_long_cycle_exits_cleanly():
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0 and err == ""
     assert not helper_running(helper)
+
+
+# res-32 batches of 64 images, 768 KiB each: more than the helper's pipe holds
+LEFT_CYCLE_SCRIPT = """
+import numpy as np
+from evograft import trainer
+from evograft.rng import Rng
+from evograft.search_space import load_builtin_space
+hp = dict(load_builtin_space("desk").default_config(), resolution=32)
+batches = trainer._pipelined_batches(np.zeros((640, 16, 16, 3), np.uint8), hp, Rng(1, "s"),
+                                     list(range(640)), 64)
+next(batches)
+helper = trainer._helper.proc
+batches.close()
+print(helper.pid, helper.returncode)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_leaving_a_long_cycle_mid_way_reaps_the_helper():
+    # a helper blocked writing a batch exits only once its stdout is closed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", LEFT_CYCLE_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0 and done.stderr == ""
+    helper, returncode = done.stdout.split()
+    assert returncode != "None" and not helper_running(int(helper))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
