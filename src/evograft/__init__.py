@@ -16,8 +16,7 @@ from .evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig, MetricsSna
                         parent_acceptance_probability, parse_segments,
                         run_generation, run_plan, run_segment,
                         run_task_iteration, sample_parent)
-from .mutations import (MutationAction, apply_mutations, inherit_mu, possible_mutations,
-                        sample_mutations)
+from .mutations import apply_mutations, inherit_mu, possible_mutations, sample_mutations
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, score, score_model
 from .search_space import (MU_GRID, MU_INIT, HparamAxis, SearchSpace,

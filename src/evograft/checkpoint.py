@@ -47,7 +47,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .evolution import MetricsSnapshot
-from .mutations import MutationAction
 from .rng import Rng
 from .scoring import ScoreParams
 from .search_space import (SearchSpace, SpaceError, format_axis_line, format_value,
@@ -136,8 +135,7 @@ def _block_line(b: LayerBlock) -> str:
 def _model_lines(m: ModelSpec, axis_names: list[str]) -> str:
     layers = ",".join(f"{lid}:{int(tr)}" for lid, tr in m.layers)
     hparams = ";".join(f"{axis}={format_value(m.hparams[axis])}" for axis in axis_names)
-    mu = ";".join(f"{a.key()}={v!r}" for a, v in
-                  sorted(m.mu.items(), key=lambda kv: kv[0].key()))
+    mu = ";".join(f"{action}={v!r}" for action, v in sorted(m.mu.items()))
     return "\n".join((f"layers {m.id} {layers}", f"hparams {m.id} {hparams}",
                       f"mu {m.id} {mu}"))
 
@@ -312,7 +310,7 @@ def _build(body: str, records: dict, pack: str, at: list) -> SystemState:
     hparams = [{axis: parse_value(value) for axis, value in
                 (word.split("=", 1) for word in rest.partition(" ")[2].split(";"))}
                for rest in each("hparams")]
-    mus = [{MutationAction.parse(action): float(value) for action, value in
+    mus = [{action: float(value) for action, value in
             (word.split("=", 1) for word in mu.split(";"))} if mu else {}
            for mu in (rest.partition(" ")[2] for rest in each("mu"))]
     for rest, *parts in zip(each("model"), layers, hparams, mus):

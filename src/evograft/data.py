@@ -122,6 +122,8 @@ def read_task_meta(path: str) -> TaskDataset:
                 f"{meta_path}: {key}= is not an integer: {fields[key]!r}") from None
         if dims[-1] < 1:
             raise DatasetError(f"{meta_path}: {key}= must be at least 1, got {dims[-1]}")
+    if dims[0] > MAX_CLASSES:
+        raise DatasetError(f"{meta_path}: classes= must be at most {MAX_CLASSES}, got {dims[0]}")
     return TaskDataset(name, *dims)
 
 

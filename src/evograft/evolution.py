@@ -128,8 +128,10 @@ def bootstrap_system(space: SearchSpace, seed: int, width: int = 32, depth: int 
     init stream draws the embedding, then each hidden block; the head starts
     at zero and draws nothing.
     """
-    if depth < MIN_HIDDEN_DEPTH:
-        raise SystemError_(f"root depth must be at least {MIN_HIDDEN_DEPTH}")
+    for name, value, least in (("width", width, 1), ("depth", depth, MIN_HIDDEN_DEPTH),
+                               ("patch", patch, 1), ("channels", channels, 1)):
+        if value < least:
+            raise SystemError_(f"root {name} must be at least {least}, got {value}")
     for res in space.axis(RESOLUTION_AXIS).values:
         if res % patch != 0:
             raise SystemError_(f"resolution {res} is not divisible by patch {patch}")

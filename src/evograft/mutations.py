@@ -3,72 +3,35 @@
 Three structural knobs exist: cloning any non-head layer into a private
 trainable copy (parameters and optimizer state travel with it), removing the
 topmost hidden block, and stepping one hyperparameter to a neighboring value.
-A child always receives its own trainable head. The legal actions are that
-new head plus what ``possible_mutations`` lists for the parent, which follows
-the system's ``compute=`` flag; no function takes a mode, and
-``apply_mutations`` rejects any other action. Each model maps every action it
-could take to a probability on a fixed grid; children inherit the table, and
-it drifts by the hyperparameters' neighbor-stepping rule.
+An action is the string key that the model's mu table and its manifest line
+store; ``clone_action``, ``hparam_action`` and ``REMOVE_TOP_LAYER`` in
+``system`` spell the format out. A child always receives its own trainable
+head, and no action stands for it. The legal actions are those
+``possible_mutations`` lists for the parent, which follows the system's
+``compute=`` flag; no function takes a mode, and ``apply_mutations`` rejects
+any other action. Each model maps every action it could take to a probability
+on a fixed grid; children inherit the table, and it drifts by the
+hyperparameters' neighbor-stepping rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rng import Rng
 from .search_space import MU_INIT, RESOLUTION_AXIS, mu_neighbors
-from .system import HEAD, MIN_HIDDEN_DEPTH, ModelSpec, SystemState, zero_params
-
-CLONE = "clone"
-REMOVE = "remove"
-HPARAM = "hparam"
-HEAD_ACTION = "head"
+from .system import (HEAD, MIN_HIDDEN_DEPTH, REMOVE_TOP_LAYER, ModelSpec, SystemState,
+                     clone_action, hparam_action, zero_params)
 
 
 class MutationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MutationAction:
-    kind: str
-    arg: int | str | None = None
+def possible_mutations(system: SystemState, model: ModelSpec) -> list[str]:
+    """Enumerate the actions for spawning a child of ``model``.
 
-    def key(self) -> str:
-        return self.kind if self.arg is None else f"{self.kind}:{self.arg}"
-
-    @classmethod
-    def parse(cls, key: str) -> "MutationAction":
-        if ":" not in key:
-            if key not in (REMOVE, HEAD_ACTION):
-                raise MutationError(f"bad action key {key!r}")
-            return cls(key)
-        kind, arg = key.split(":", 1)
-        if kind == CLONE:
-            return cls(CLONE, int(arg))
-        if kind == HPARAM:
-            return cls(HPARAM, arg)
-        raise MutationError(f"bad action key {key!r}")
-
-
-MAKE_TRAINABLE_HEAD = MutationAction(HEAD_ACTION)
-REMOVE_TOP_LAYER = MutationAction(REMOVE)
-
-
-def clone_action(depth: int) -> MutationAction:
-    return MutationAction(CLONE, depth)
-
-
-def hparam_action(axis: str) -> MutationAction:
-    return MutationAction(HPARAM, axis)
-
-
-def possible_mutations(system: SystemState, model: ModelSpec) -> list[MutationAction]:
-    """Enumerate the optional actions for spawning a child of ``model``.
-
-    The unconditional new-head action is not listed, nor is a step on an axis
-    with one value. Top-layer removal and resolution steps change compute and
-    are listed only while ``system.score_params.compute_factor_enabled`` is on.
+    A step on an axis with one value is not listed. Top-layer removal and
+    resolution steps change compute and are listed only while
+    ``system.score_params.compute_factor_enabled`` is on.
     """
     compute = system.score_params.compute_factor_enabled
     actions = [clone_action(i) for i in range(len(model.layers) - 1)]
@@ -80,10 +43,9 @@ def possible_mutations(system: SystemState, model: ModelSpec) -> list[MutationAc
     return actions
 
 
-def sample_mutations(system: SystemState, parent: ModelSpec,
-                     rng: Rng) -> set[MutationAction]:
-    """Draw a mutation set: the head action always, others by their table entry."""
-    chosen = {MAKE_TRAINABLE_HEAD}
+def sample_mutations(system: SystemState, parent: ModelSpec, rng: Rng) -> set[str]:
+    """Draw a mutation set: each legal action by its table entry."""
+    chosen = set()
     actions = possible_mutations(system, parent)
     for action, draw in zip(actions, rng.uniforms(len(actions)).tolist()):
         if parent.mu.get(action, MU_INIT) > draw:
@@ -91,8 +53,7 @@ def sample_mutations(system: SystemState, parent: ModelSpec,
     return chosen
 
 
-def inherit_mu(parent_mu: dict, child_actions: list[MutationAction],
-               rng: Rng) -> dict[MutationAction, float]:
+def inherit_mu(parent_mu: dict, child_actions: list[str], rng: Rng) -> dict[str, float]:
     """Copy the parent's entries for the child's actions, each stepping to a
     neighboring grid value with probability equal to its own current value.
     Actions the parent had no entry for start at the grid's initial value."""
@@ -105,9 +66,8 @@ def inherit_mu(parent_mu: dict, child_actions: list[MutationAction],
     return table
 
 
-def apply_mutations(system: SystemState, parent: ModelSpec,
-                    actions: set[MutationAction], task: str, num_classes: int,
-                    rng: Rng) -> ModelSpec:
+def apply_mutations(system: SystemState, parent: ModelSpec, actions: set[str], task: str,
+                    num_classes: int, rng: Rng) -> ModelSpec:
     """Materialize a child model from a parent and a sampled action set.
 
     Cloned layers become fresh trainable blocks copying the parent's
@@ -117,16 +77,15 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     committed as a model. Every check runs before the first block is added,
     so a rejected call leaves the system as it was.
     """
-    illegal = actions - {MAKE_TRAINABLE_HEAD} - set(possible_mutations(system, parent))
+    illegal = actions - set(possible_mutations(system, parent))
     if illegal:
-        keys = ", ".join(sorted(a.key() for a in illegal))
+        keys = ", ".join(sorted(illegal))
         raise MutationError(f"actions not legal for model {parent.id}: {keys}")
 
     non_head = len(parent.layers) - 1
     keep = list(range(non_head))
     if REMOVE_TOP_LAYER in actions:
         keep = keep[:-1]
-    clone_positions = {a.arg for a in actions if a.kind == CLONE}
     parent_head = system.block(parent.head_id())
     if parent.task == task and parent_head.d_out != num_classes:
         raise MutationError(
@@ -135,7 +94,7 @@ def apply_mutations(system: SystemState, parent: ModelSpec,
     layers: list[tuple[int, bool]] = []
     for pos in keep:
         lid, _ = parent.layers[pos]
-        if pos in clone_positions:
+        if clone_action(pos) in actions:
             src = system.block(lid)
             params, opt = src.clone_arrays()
             block = system.add_block(src.kind, src.d_in, src.d_out, params, opt, task)

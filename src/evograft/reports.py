@@ -19,9 +19,8 @@ import csv
 import os
 from collections import Counter, defaultdict
 
-from .mutations import CLONE, HPARAM, REMOVE
 from .search_space import format_value
-from .system import ROOT_TASK, SystemState, export_dot
+from .system import ROOT_TASK, SystemState, clone_action, export_dot
 
 
 def least_squares_line(xs, ys) -> tuple[float, float]:
@@ -44,16 +43,6 @@ def least_squares_line(xs, ys) -> tuple[float, float]:
 
 def _task_models(system: SystemState):
     return [m for m in system.models.values() if m.task != ROOT_TASK]
-
-
-def _mu_family(action) -> str:
-    if action.kind == CLONE:
-        return "clone"
-    if action.kind == REMOVE:
-        return "remove"
-    if action.kind == HPARAM:
-        return f"hparam:{action.arg}"
-    return action.kind
 
 
 def emit_reports(system: SystemState, history, out_dir: str) -> list[str]:
@@ -90,11 +79,15 @@ def emit_reports(system: SystemState, history, out_dir: str) -> list[str]:
             hparam_rows.append([axis, value, counts[value]])
     csv_file("hparam_hist.csv", ["axis", "value", "count"], hparam_rows)
 
-    by_depth = defaultdict(list)
+    # every clone action is one family in mu_hist.csv; any other action is its own
+    by_depth, mu_counts = defaultdict(list), Counter()
     for model in models:
+        clones = [clone_action(depth) for depth in range(len(model.layers) - 1)]
+        for depth, action in enumerate(clones):
+            if action in model.mu:
+                by_depth[depth].append(model.mu[action])
         for action, mu in model.mu.items():
-            if action.kind == CLONE:
-                by_depth[action.arg].append(mu)
+            mu_counts[("clone" if action in clones else action, f"{mu:.2f}")] += 1
     depths = sorted(by_depth)
     means = [sum(by_depth[d]) / len(by_depth[d]) for d in depths]
     csv_file("clone_mu_depth.csv", ["depth", "mean_mu", "count"],
@@ -103,10 +96,6 @@ def emit_reports(system: SystemState, history, out_dir: str) -> list[str]:
     csv_file("clone_mu_fit.csv", ["slope", "intercept"],
              [[repr(slope), repr(intercept)]])
 
-    mu_counts = Counter()
-    for model in models:
-        for action, mu in model.mu.items():
-            mu_counts[(_mu_family(action), f"{mu:.2f}")] += 1
     csv_file("mu_hist.csv", ["family", "value", "count"],
              [[family, value, count]
               for (family, value), count in sorted(mu_counts.items())])

@@ -46,6 +46,17 @@ HEAD = "head"
 ROOT_TASK = "root"
 MIN_HIDDEN_DEPTH = 1
 
+# A mutation action is the key its model's mu table and manifest line store
+REMOVE_TOP_LAYER = "remove"
+
+
+def clone_action(depth: int) -> str:
+    return f"clone:{depth}"
+
+
+def hparam_action(axis: str) -> str:
+    return f"hparam:{axis}"
+
 
 class SystemError_(ValueError):
     """Structural violation in the multitask system."""
@@ -208,15 +219,15 @@ class SystemState:
             raise SystemError_(f"model {model.id} head block {head} is shared across tasks")
         self.space.validate_config(model.hparams)
         # the actions a model could ever take, whatever the mode and depth
-        takes = {f"clone:{i}" for i in range(len(model.layers) - 1)}
-        takes |= {"remove"} | {f"hparam:{axis}" for axis in self.space.axes}
+        takes = {clone_action(i) for i in range(len(model.layers) - 1)}
+        takes |= {REMOVE_TOP_LAYER} | {hparam_action(axis) for axis in self.space.axes}
         for action, value in model.mu.items():
-            if action.key() not in takes:
-                raise SystemError_(f"model {model.id} mu table holds {action.key()}, "
+            if action not in takes:
+                raise SystemError_(f"model {model.id} mu table holds {action}, "
                                    "an action it can never take")
             if not on_mu_grid(value):
                 raise SystemError_(f"model {model.id} mu value {value!r} for "
-                                   f"{action.key()} is off-grid")
+                                   f"{action} is off-grid")
 
     def commit_model(self, model: ModelSpec) -> None:
         if self.models and model.id <= next(reversed(self.models)):

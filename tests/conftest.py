@@ -17,7 +17,7 @@ def pytest_terminal_summary(terminalreporter):
 from evograft import trainer
 from evograft.data import TaskDataset
 from evograft.evolution import EvolutionError, bootstrap_system
-from evograft.mutations import MAKE_TRAINABLE_HEAD, clone_action
+from evograft.mutations import clone_action
 from evograft.rng import Rng
 from evograft.scoring import ScoreParams
 from evograft.search_space import (HparamAxis, SearchSpace, format_axis_line,
@@ -129,15 +129,13 @@ def simple_trunk(system: SystemState, width: int = 4, depth: int = 2,
 
 
 def finetune_top_actions(parent: ModelSpec, top_k: int) -> set:
-    """Action set for the fine-tune-top-layers baseline: a new head plus forced
-    clones of the top ``top_k`` non-head layers, no other mutations."""
+    """Action set for the fine-tune-top-layers baseline: forced clones of the
+    top ``top_k`` non-head layers, no other mutations (every child gets a new
+    head)."""
     non_head = len(parent.layers) - 1
     if not 0 <= top_k <= non_head:
         raise EvolutionError(f"top_k must be in [0, {non_head}]")
-    actions = {MAKE_TRAINABLE_HEAD}
-    for pos in range(non_head - top_k, non_head):
-        actions.add(clone_action(pos))
-    return actions
+    return {clone_action(pos) for pos in range(non_head - top_k, non_head)}
 
 
 def space_text(space: SearchSpace) -> str:

@@ -29,8 +29,7 @@ from evograft.evolution import (EvolutionConfig, SegmentSpec, _train_child,
                                 bootstrap_system, metrics_snapshot,
                                 parent_acceptance_probability, run_segment,
                                 run_task_iteration)
-from evograft.mutations import (MAKE_TRAINABLE_HEAD, apply_mutations, clone_action,
-                                inherit_mu, sample_mutations)
+from evograft.mutations import apply_mutations, clone_action, inherit_mu, sample_mutations
 from evograft.rng import Rng
 from evograft.scoring import ScoreParams, score
 from evograft.search_space import MU_GRID, MU_INIT, load_builtin_space, on_mu_grid
@@ -224,7 +223,7 @@ def test_algorithm_structure(pair_datasets):
     # retention >=: a child that exactly ties its same-task parent is kept
     parent = system.models_for("t0")[0]
     rng = system.rng
-    child = apply_mutations(system, parent, {MAKE_TRAINABLE_HEAD}, "t0", 4, rng)
+    child = apply_mutations(system, parent, set(), "t0", 4, rng)
     system.commit_model(child)
     parent.quality = 0.0  # any finite child quality ties or beats this
     kept = _train_child(system, child, parent, "t0", pair_datasets["t0"], cfg, rng)
@@ -233,7 +232,7 @@ def test_algorithm_structure(pair_datasets):
 
     # -inf threshold: a cross-task parent imposes no bar
     root = next(m for m in system.models.values() if m.task == "root")
-    child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD}, "t1", 4, rng)
+    child = apply_mutations(system, root, set(), "t1", 4, rng)
     system.commit_model(child)
     kept = _train_child(system, child, root, "t1", pair_datasets["t1"], cfg, rng)
     assert kept is not None

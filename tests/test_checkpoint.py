@@ -427,8 +427,11 @@ def test_a_mu_key_the_model_can_never_take_is_rejected_at_its_model_line(tmp_pat
     number = lines.index("model 0 root - 0 - -") + 1
     old = next(line for line in lines if line.startswith("mu 0 "))
     entries = old.split()[2].split(";")
+    # a malformed key fails at its model line like a well-formed one
     for extra, key in ((["clone:17=0.3"], "clone:17"), (["hparam:nope=0.2"], "hparam:nope"),
-                       (["clone:17=0.3", "hparam:nope=0.2"], "clone:17")):
+                       (["clone:17=0.3", "hparam:nope=0.2"], "clone:17"),
+                       (["bogus=0.2"], "bogus"), (["clone:x=0.2"], "clone:x"),
+                       (["head=0.2"], "head")):
         new = "mu 0 " + ";".join(sorted(entries + extra, key=lambda e: e.split("=")[0]))
         manifest.write_text(text.replace(old + "\n", new + "\n"))
         with pytest.raises(CheckpointError, match=f"manifest line {number}: model 0 does not "

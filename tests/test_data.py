@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from evograft.data import (DatasetError, GenSpec, TaskGenSpec, bilinear_resize,
-                           generate_synthetic_tasks, load_task_dir, parse_gen_spec,
-                           read_split, read_task_meta, write_split)
+from evograft.data import (MAX_CLASSES, DatasetError, GenSpec, TaskGenSpec,
+                           bilinear_resize, generate_synthetic_tasks, load_task_dir,
+                           parse_gen_spec, read_split, read_task_meta, write_split)
 
 
 def file_sha(path):
@@ -79,6 +79,11 @@ def test_a_meta_size_below_one_names_the_file_and_the_field(tmp_path):
             with pytest.raises(DatasetError, match=rf"meta\b.*\b{field}= must be at least 1, "
                                                    rf"got {bad}$"):
                 read_task_meta(str(tmp_path))
+    # u16 labels can never reach a class above MAX_CLASSES
+    (tmp_path / "meta").write_text("name=alpha\nclasses=1000000000\nh=8\nw=8\nc=3\n")
+    with pytest.raises(DatasetError, match=rf"meta\b.*\bclasses= must be at most {MAX_CLASSES}, "
+                                           r"got 1000000000$"):
+        read_task_meta(str(tmp_path))
     # h=0 w=0 with empty splits used to load, then fail in run_plan at a numpy reshape
     (tmp_path / "meta").write_text("name=alpha\nclasses=4\nh=0\nw=0\nc=3\n")
     for split in ("train", "val", "test"):

@@ -13,8 +13,8 @@ from evograft.evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig,
                                 parent_acceptance_probability, parse_segments,
                                 run_generation, run_plan, run_segment,
                                 run_task_iteration, sample_parent)
-from evograft.mutations import (MAKE_TRAINABLE_HEAD, apply_mutations, clone_action,
-                                hparam_action, possible_mutations)
+from evograft.mutations import (apply_mutations, clone_action, hparam_action,
+                                possible_mutations)
 from evograft.rng import Rng
 from evograft.trainer import TrainBudget, evaluate
 
@@ -62,6 +62,18 @@ def test_bootstrap_digest_is_pinned(space, width, depth, channels, expected):
     system = bootstrap_system(load_builtin_space(space), seed=5, width=width,
                               depth=depth, patch=8, channels=channels)
     assert system_digest(system) == expected
+
+
+def test_bootstrap_rejects_a_size_below_one_and_names_it():
+    # patch=-8 used to build a system that acted as patch 8, patch, width or
+    # channels at 0 divided by zero, and width=-3 failed inside numpy
+    from evograft.search_space import load_builtin_space
+    from evograft.system import SystemError_
+    good = dict(width=8, depth=3, patch=8, channels=3)
+    for name, bad in (("width", 0), ("width", -3), ("depth", 0), ("patch", 0),
+                      ("patch", -8), ("channels", 0), ("channels", -1)):
+        with pytest.raises(SystemError_, match=rf"^root {name} must be at least 1, got {bad}$"):
+            bootstrap_system(load_builtin_space("desk"), seed=5, **{**good, name: bad})
 
 
 def test_three_task_trajectory_digest_is_pinned():
@@ -173,7 +185,7 @@ def test_child_tying_same_task_parent_is_retained():
     run_task_iteration(system, "t", ds, cfg, rng)
     parent = system.models_for("t")[0]
     assert parent.quality == 1.0  # constant labels saturate
-    child = apply_mutations(system, parent, {MAKE_TRAINABLE_HEAD}, "t", 2, rng)
+    child = apply_mutations(system, parent, set(), "t", 2, rng)
     system.commit_model(child)
     best = _train_child(system, child, parent, "t", ds, cfg, rng)
     assert best is not None and best[0] == 1.0  # exact tie, kept by >=
@@ -187,7 +199,7 @@ def test_child_below_same_task_parent_is_dropped():
     run_task_iteration(system, "t", ds, cfg, rng)
     parent = system.models_for("t")[0]
     parent.quality = 1.0  # unreachable bar on random labels
-    child = apply_mutations(system, parent, {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    child = apply_mutations(system, parent, set(), "t", 4, rng)
     system.commit_model(child)
     assert _train_child(system, child, parent, "t", ds, cfg, rng) is None
 
@@ -198,7 +210,7 @@ def test_cross_task_parent_imposes_no_bar():
     rng = Rng(7, "inf")
     cfg = quick_config()
     root = next(iter(system.models.values()))
-    child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    child = apply_mutations(system, root, set(), "t", 4, rng)
     system.commit_model(child)
     best = _train_child(system, child, root, "t", ds, cfg, rng)
     assert best is not None  # threshold is -inf for parents from other tasks
@@ -209,7 +221,7 @@ def test_child_validation_split_is_preprocessed_once(monkeypatch):
     ds = make_dataset("t", seed=45)
     rng = Rng(9, "val")
     root = next(iter(system.models.values()))
-    child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    child = apply_mutations(system, root, set(), "t", 4, rng)
     system.commit_model(child)
     eval_calls = []
     original = trainer.preprocess_batch
@@ -468,7 +480,7 @@ def test_discarded_models_leave_the_accuracy_memo():
 def test_an_unscored_model_fails_the_iteration_at_its_score():
     system = fresh_system()
     dataset = make_dataset("a", seed=52)
-    child = apply_mutations(system, system.models[0], {MAKE_TRAINABLE_HEAD}, "a",
+    child = apply_mutations(system, system.models[0], set(), "a",
                             dataset.num_classes, system.rng)
     system.commit_model(child)
     with pytest.raises(ValueError, match=f"model {child.id} has no recorded quality"):
@@ -643,11 +655,11 @@ def test_finetune_top_actions_shape():
     system = fresh_system()
     root = next(iter(system.models.values()))
     actions = finetune_top_actions(root, 2)
-    assert MAKE_TRAINABLE_HEAD in actions
+    assert "head" not in actions
     non_head = len(root.layers) - 1
     assert clone_action(non_head - 1) in actions
     assert clone_action(non_head - 2) in actions
-    assert len(actions) == 3
+    assert len(actions) == 2
     with pytest.raises(EvolutionError):
         finetune_top_actions(root, 99)
 

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evograft.mutations import (MAKE_TRAINABLE_HEAD, MutationAction, MutationError,
-                                REMOVE_TOP_LAYER, apply_mutations, clone_action,
-                                hparam_action, inherit_mu, possible_mutations,
-                                sample_mutations)
+from evograft.mutations import (REMOVE_TOP_LAYER, MutationError, apply_mutations,
+                                clone_action, hparam_action, inherit_mu,
+                                possible_mutations, sample_mutations)
 from evograft.rng import Rng
 from evograft.search_space import MU_GRID, MU_INIT, on_mu_grid
 from evograft.system import ROOT_TASK
@@ -20,12 +19,6 @@ def root_of(system):
 
 def switch_compute_off(system):
     system.score_params = replace(system.score_params, compute_factor_enabled=False)
-
-
-def test_action_key_round_trip():
-    for action in (clone_action(3), REMOVE_TOP_LAYER, hparam_action("momentum"),
-                   MAKE_TRAINABLE_HEAD):
-        assert MutationAction.parse(action.key()) == action
 
 
 def test_possible_mutation_counts(small_system):
@@ -43,20 +36,17 @@ def test_possible_mutation_counts(small_system):
 def test_remove_absent_at_min_depth(small_system):
     root = root_of(small_system)
     rng = Rng(1, "apply")
-    child = apply_mutations(small_system, root,
-                            {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER, REMOVE_TOP_LAYER},
-                            "a", 3, rng)
-    child = apply_mutations(small_system, child, {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER},
-                            "a", 3, rng)
+    child = apply_mutations(small_system, root, {REMOVE_TOP_LAYER}, "a", 3, rng)
+    child = apply_mutations(small_system, child, {REMOVE_TOP_LAYER}, "a", 3, rng)
     assert child.hidden_count() == 1
     assert REMOVE_TOP_LAYER not in possible_mutations(small_system, child)
 
 
-def test_sample_always_contains_head_and_replays(small_system):
+def test_sample_holds_no_head_action_and_replays(small_system):
     root = root_of(small_system)
     first = sample_mutations(small_system, root, Rng(4, "s"))
     second = sample_mutations(small_system, root, Rng(4, "s"))
-    assert MAKE_TRAINABLE_HEAD in first
+    assert "head" not in first
     assert first == second
 
 
@@ -68,7 +58,7 @@ def test_sample_matches_a_per_action_uniform_loop(small_system):
         parent = replace(root, mu={action: grid.choice(MU_GRID) for action in
                                    list(root.mu)[1:]})
         bulk, scalar = Rng(seed, "sample"), Rng(seed, "sample")
-        expected = {MAKE_TRAINABLE_HEAD}
+        expected = set()
         for action in possible_mutations(small_system, parent):
             if parent.mu.get(action, MU_INIT) > scalar.uniform():
                 expected.add(action)
@@ -95,7 +85,7 @@ def test_sample_expected_set_size_at_grid_minimum(small_system):
     n = 100_000
     total = sum(len(sample_mutations(small_system, root, rng))
                 for _ in range(n))
-    expected = 1.0 + 0.02 * len(actions)
+    expected = 0.02 * len(actions)
     sigma_mean = math.sqrt(len(actions) * 0.02 * 0.98 / n)
     assert abs(total / n - expected) < 3 * sigma_mean
 
@@ -142,7 +132,7 @@ def test_mu_stays_on_grid_over_thousand_generations():
 def test_apply_share_all_when_only_head(small_system):
     root = root_of(small_system)
     rng = Rng(13, "share")
-    child = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD}, "a", 4, rng)
+    child = apply_mutations(small_system, root, set(), "a", 4, rng)
     assert [lid for lid, _ in child.layers[:-1]] == [lid for lid, _ in root.layers[:-1]]
     assert all(not trainable for _, trainable in child.layers[:-1])
     assert child.layers[-1][1] is True
@@ -157,8 +147,7 @@ def test_apply_share_all_when_only_head(small_system):
 def test_apply_clone_copies_params_into_fresh_block(small_system):
     root = root_of(small_system)
     rng = Rng(14, "clone")
-    child = apply_mutations(small_system, root,
-                            {MAKE_TRAINABLE_HEAD, clone_action(1)}, "a", 4, rng)
+    child = apply_mutations(small_system, root, {clone_action(1)}, "a", 4, rng)
     parent_lid = root.layers[1][0]
     child_lid, trainable = child.layers[1]
     assert trainable is True
@@ -173,11 +162,11 @@ def test_apply_clone_copies_params_into_fresh_block(small_system):
 def test_apply_same_task_parent_clones_head(small_system):
     root = root_of(small_system)
     rng = Rng(15, "head")
-    first = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD}, "a", 4, rng)
+    first = apply_mutations(small_system, root, set(), "a", 4, rng)
     small_system.commit_model(first)
     head = small_system.block(first.head_id())
     head.params[:] = 7.0  # pretend training happened
-    second = apply_mutations(small_system, first, {MAKE_TRAINABLE_HEAD}, "a", 4, rng)
+    second = apply_mutations(small_system, first, set(), "a", 4, rng)
     assert second.head_id() != first.head_id()
     assert np.all(small_system.block(second.head_id()).params == 7.0)
 
@@ -185,10 +174,9 @@ def test_apply_same_task_parent_clones_head(small_system):
 def test_apply_remove_drops_flops_by_exactly_that_block(small_system):
     root = root_of(small_system)
     rng = Rng(16, "remove")
-    full = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD}, "a", 4, rng)
+    full = apply_mutations(small_system, root, set(), "a", 4, rng)
     small_system.commit_model(full)
-    removed = apply_mutations(small_system, full,
-                              {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER}, "a", 4, rng)
+    removed = apply_mutations(small_system, full, {REMOVE_TOP_LAYER}, "a", 4, rng)
     assert removed.hidden_count() == full.hidden_count() - 1
     dropped = small_system.block(full.layers[-2][0])
     from evograft.system import dense_flops
@@ -200,8 +188,8 @@ def test_apply_hparam_changes_only_named_axes(small_system):
     root = root_of(small_system)
     rng = Rng(17, "hp")
     child = apply_mutations(small_system, root,
-                            {MAKE_TRAINABLE_HEAD, hparam_action("learning_rate"),
-                             hparam_action("flip")}, "a", 4, rng)
+                            {hparam_action("learning_rate"), hparam_action("flip")},
+                            "a", 4, rng)
     for axis, value in child.hparams.items():
         if axis in ("learning_rate", "flip"):
             assert value != root.hparams[axis]
@@ -222,8 +210,7 @@ def test_child_layer_count_within_one_of_parent(small_system):
 def test_child_mu_covers_child_actions(small_system):
     root = root_of(small_system)
     rng = Rng(19, "cover")
-    child = apply_mutations(small_system, root,
-                            {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER}, "a", 4, rng)
+    child = apply_mutations(small_system, root, {REMOVE_TOP_LAYER}, "a", 4, rng)
     assert set(child.mu) == set(possible_mutations(small_system, child))
     assert all(on_mu_grid(v) for v in child.mu.values())
 
@@ -238,9 +225,8 @@ def test_illegal_actions_rejected(small_system, desk_space):
                            (small_system, hparam_action("nope")),
                            (pinned, hparam_action("momentum"))):
         before = (system_digest(system), system.next_block_id, system.next_model_id)
-        with pytest.raises(MutationError, match=action.key()):
-            apply_mutations(system, root_of(system),
-                            {MAKE_TRAINABLE_HEAD, clone_action(0), action}, "a", 4, rng)
+        with pytest.raises(MutationError, match=action):
+            apply_mutations(system, root_of(system), {clone_action(0), action}, "a", 4, rng)
         assert (system_digest(system), system.next_block_id, system.next_model_id) == before
 
 
@@ -251,12 +237,11 @@ def test_rejected_head_adds_no_block():
     system = bootstrap_system(load_builtin_space("desk"), seed=11, width=8, depth=2,
                               patch=8, channels=3)
     rng = Rng(22, "head")
-    child = apply_mutations(system, root_of(system), {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    child = apply_mutations(system, root_of(system), set(), "t", 4, rng)
     system.commit_model(child)
     before = system_digest(system)
     with pytest.raises(MutationError, match="4 classes, task needs 3"):
-        apply_mutations(system, child, {MAKE_TRAINABLE_HEAD, clone_action(0),
-                                        clone_action(1)}, "t", 3, rng)
+        apply_mutations(system, child, {clone_action(0), clone_action(1)}, "t", 3, rng)
     assert system_digest(system) == before
 
 
@@ -266,9 +251,8 @@ def test_compute_factor_off_withholds_compute_actions(small_system):
     rng = Rng(21, "off")
     withheld = {REMOVE_TOP_LAYER, hparam_action("resolution")}
     for action in withheld:
-        with pytest.raises(MutationError, match=action.key()):
-            apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD, action}, "a", 4, rng)
-    child = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD, clone_action(1)},
-                            "a", 4, rng)
+        with pytest.raises(MutationError, match=action):
+            apply_mutations(small_system, root, {action}, "a", 4, rng)
+    child = apply_mutations(small_system, root, {clone_action(1)}, "a", 4, rng)
     assert set(child.mu) == set(possible_mutations(small_system, child))
     assert not withheld & set(child.mu)

@@ -64,7 +64,7 @@ def test_constant_clone_mu_fits_flat_line(tmp_path):
     run_task_iteration(system, "t", ds, quick_config(), system.rng)
     model = system.models_for("t")[0]
     for action in list(model.mu):
-        if action.kind == "clone":
+        if action.startswith("clone:"):
             model.mu[action] = 0.24
     out = tmp_path / "flat"
     emit_reports(system, [], str(out))

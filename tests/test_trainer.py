@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evograft import trainer
-from evograft.mutations import MAKE_TRAINABLE_HEAD, apply_mutations, clone_action
+from evograft.mutations import apply_mutations, clone_action
 from evograft.rng import Rng
 from evograft.system import EMBEDDING, HEAD, HIDDEN
 from evograft.trainer import (TrainBudget, TrainerError, evaluate, forward,
@@ -203,11 +203,10 @@ def test_forward_is_pure():
 def test_removing_top_block_changes_logits(small_system):
     root = next(m for m in small_system.models.values() if m.task == "root")
     rng = Rng(7, "rm")
-    full = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD}, "a", 3, rng)
+    full = apply_mutations(small_system, root, set(), "a", 3, rng)
     small_system.commit_model(full)
     from evograft.mutations import REMOVE_TOP_LAYER
-    short = apply_mutations(small_system, full, {MAKE_TRAINABLE_HEAD, REMOVE_TOP_LAYER},
-                            "a", 3, rng)
+    short = apply_mutations(small_system, full, {REMOVE_TOP_LAYER}, "a", 3, rng)
     small_system.commit_model(short)
     # same (zero) head weights, same inputs: only the dropped block can differ
     small_system.block(short.head_id()).params[:] = 1.0
@@ -349,7 +348,7 @@ def test_samples_cap():
 def test_train_cycle_consumes_capped_epoch(small_system):
     root = next(m for m in small_system.models.values() if m.task == "root")
     rng = Rng(14, "cycle")
-    child = apply_mutations(small_system, root, {MAKE_TRAINABLE_HEAD}, "t", 4, rng)
+    child = apply_mutations(small_system, root, set(), "t", 4, rng)
     small_system.commit_model(child)
     ds = make_dataset("t", classes=4, n_train=50, seed=15)
     stats = train_cycle(small_system, child, ds, TrainBudget(samples_cap=32, batch_size=8),
@@ -362,8 +361,7 @@ def test_train_cycle_consumes_capped_epoch(small_system):
 def test_training_touches_only_trainable_blocks(small_system):
     root = next(m for m in small_system.models.values() if m.task == "root")
     rng = Rng(16, "freeze")
-    child = apply_mutations(small_system, root,
-                            {MAKE_TRAINABLE_HEAD, clone_action(1)}, "t", 4, rng)
+    child = apply_mutations(small_system, root, {clone_action(1)}, "t", 4, rng)
     small_system.commit_model(child)
     ds = make_dataset("t", classes=4, n_train=40, seed=17)
     frozen_before = {lid: small_system.block(lid).params.tobytes()
@@ -586,7 +584,7 @@ def train_cycles(monkeypatch, pipelined, hparam_sets, budget=TrainBudget(batch_s
                               patch=8, channels=3)
     root = next(m for m in system.models.values() if m.task == "root")
     rng = Rng(14, "pipe")
-    child = apply_mutations(system, root, {MAKE_TRAINABLE_HEAD, clone_action(0)}, "t", 4, rng)
+    child = apply_mutations(system, root, {clone_action(0)}, "t", 4, rng)
     system.commit_model(child)
     ds = make_dataset("t", classes=4, n_train=100, seed=15)
     losses = []
