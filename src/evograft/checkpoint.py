@@ -46,12 +46,11 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .evolution import MetricsSnapshot
 from .rng import Rng
 from .scoring import ScoreParams
 from .search_space import (SearchSpace, SpaceError, format_axis_line, format_value,
                            parse_axis_line, parse_value)
-from .system import LayerBlock, ModelSpec, SystemError_, SystemState
+from .system import LayerBlock, MetricsSnapshot, ModelSpec, SystemError_, SystemState
 
 FORMAT_VERSION = 1
 PACK_NAMES = ("a.pack", "b.pack")
@@ -298,21 +297,28 @@ def _build(body: str, records: dict, pack: str, at: list) -> SystemState:
         if int(bid) not in records:
             raise ValueError(f"block {bid} has no whole record in pack {pack}")
         params, opt = (array.astype(np.float32) for array in records[int(bid)])
-        block = LayerBlock(int(bid), kind, int(d_in), int(d_out), params, opt, created_by,
-                           int(gen))
-        if block.generation_tag < system.iterations_done:
-            block.settle()
-        system.blocks[block.id] = block
+        system.blocks[int(bid)] = LayerBlock(int(bid), kind, int(d_in), int(d_out), params,
+                                             opt, created_by, int(gen))
+    system.settle_ended()
+
+    def entries(kind, sep, pair):
+        """Each ``kind`` line's entries after its model id, split in two at ``pair``."""
+        for rest in each(kind):
+            words, split = rest.partition(" ")[2], []
+            for word in words.split(sep) if words else ():
+                key, found, value = word.partition(pair)
+                if not found:
+                    raise ValueError(f"{kind} entry {word!r} has no {pair!r}")
+                split.append((key, value))
+            yield split
+
     # a model's layers, hparams and mu lines are the next of their kinds
-    layers = [[(int(lid), bool(int(flag))) for lid, flag in
-               (word.split(":") for word in rest.partition(" ")[2].split(","))]
-              for rest in each("layers")]
-    hparams = [{axis: parse_value(value) for axis, value in
-                (word.split("=", 1) for word in rest.partition(" ")[2].split(";"))}
-               for rest in each("hparams")]
-    mus = [{action: float(value) for action, value in
-            (word.split("=", 1) for word in mu.split(";"))} if mu else {}
-           for mu in (rest.partition(" ")[2] for rest in each("mu"))]
+    layers = [[(int(lid), bool(int(flag))) for lid, flag in pairs]
+              for pairs in entries("layers", ",", ":")]
+    hparams = [{axis: parse_value(value) for axis, value in pairs}
+               for pairs in entries("hparams", ";", "=")]
+    mus = [{action: float(value) for action, value in pairs}
+           for pairs in entries("mu", ";", "=")]
     for rest, *parts in zip(each("model"), layers, hparams, mus):
         mid, task, parent, _, quality, snap = rest.split()
         if int(mid) >= system.next_model_id:

@@ -33,8 +33,8 @@ from .mutations import apply_mutations, possible_mutations, sample_mutations
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, mean_costs, score_model
 from .search_space import MU_INIT, RESOLUTION_AXIS, SearchSpace
-from .system import (EMBEDDING, HEAD, HIDDEN, MIN_HIDDEN_DEPTH, ROOT_TASK, ModelSpec,
-                     SystemError_, SystemState, init_params, zero_params)
+from .system import (EMBEDDING, HEAD, HIDDEN, MIN_HIDDEN_DEPTH, ROOT_TASK, MetricsSnapshot,
+                     ModelSpec, SystemError_, SystemState, init_params, zero_params)
 from . import trainer
 from .trainer import TrainBudget, TrainerError, batch_accuracy, evaluate, train_cycle
 
@@ -97,20 +97,6 @@ class SegmentSpec:
         if self.samples_cap is not None:
             overrides["budget"] = replace(base_cfg.budget, samples_cap=self.samples_cap)
         return replace(base_cfg, **overrides)
-
-
-@dataclass
-class MetricsSnapshot:
-    index: int
-    segment: str
-    task: str
-    mean_test_accuracy: float
-    mean_accounted_params: float
-    mean_inference_flops: float
-    per_task: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    # the text of its manifest lines once a save or load has rendered it;
-    # derived, never persisted, left out of comparisons
-    manifest_text: str | None = field(default=None, compare=False, repr=False)
 
 
 def parent_acceptance_probability(selections: int) -> float:
@@ -269,10 +255,8 @@ def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
         for model in rest:
             system.discard_model(model)
         best.score_snapshot = score_model(system, best)
-    for block in system.blocks.values():
-        if block.generation_tag == system.iterations_done:
-            block.settle()
     system.iterations_done += 1
+    system.settle_ended()
     return system
 
 

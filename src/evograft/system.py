@@ -9,18 +9,19 @@ Each block keeps those counts, ``refs`` per task and ``users`` in all, and
 all are derived state, never persisted. A model keeps its own parent-selection
 counts per task (``selections``, persisted), so they go away with it.
 Inference flops are an analytic count over the model's own dense maps and do
-not depend on sharing, so a committed model keeps them for its lifetime.
+not depend on sharing: ``commit_model`` counts them and the model keeps them.
 ``blocks`` and ``models`` iterate in ascending id order by construction:
 ``add_block`` numbers upward and ``commit_model`` accepts only an id above the
 last committed one, so readers never re-sort.
 
-A block is settled once the iteration that created it ends: its parameter
-and optimizer arrays become read-only (``LayerBlock.settle``), so any later
-write raises numpy's ``ValueError`` and a settled task can never be
-forgotten. Reads are safe to run concurrently (a read may fill a model's
-kept flops, and a concurrent one fills the same value); commit, discard,
-and garbage collection assume a single writer, and training writes only
-unsettled blocks, so child training may overlap reads of settled ones.
+A block is settled once the iteration that created it ends, that is once
+its ``generation_tag`` is below ``iterations_done`` (``settle_ended``): its
+parameter and optimizer arrays become read-only, so any later write raises
+numpy's ``ValueError`` and a settled task can never be forgotten. Reads are
+safe to run concurrently; commit, discard, and garbage collection assume a
+single writer, and training writes only unsettled blocks, so child training
+may overlap reads of settled ones. ``history`` holds one ``MetricsSnapshot``
+per iteration.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class ModelSpec:
     # Derived, never persisted, not compared: the text of its layers, hparams
     # and mu manifest lines, which assumes the model's own system (its axis
     # order); its (test dataset, accuracy) once its blocks are settled; and,
-    # once committed, its inference flops.
+    # set at commit, its inference flops.
     manifest_text: str | None = field(default=None, compare=False, repr=False)
     test_accuracy: tuple["TaskDataset", float] | None = field(
         default=None, compare=False, repr=False)
@@ -151,6 +152,20 @@ class ModelSpec:
         return len(self.layers) - 2
 
 
+@dataclass
+class MetricsSnapshot:
+    index: int
+    segment: str
+    task: str
+    mean_test_accuracy: float
+    mean_accounted_params: float
+    mean_inference_flops: float
+    per_task: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    # the text of its manifest lines once a save or load has rendered it;
+    # derived, never persisted, left out of comparisons
+    manifest_text: str | None = field(default=None, compare=False, repr=False)
+
+
 class SystemState:
     """The whole multitask system: blocks, models, counts, score parameters."""
 
@@ -163,7 +178,7 @@ class SystemState:
         self.by_task: dict[str, dict[int, ModelSpec]] = {}  # task -> id -> model
         self.task_paths: dict[str, str] = {}
         self.ever_trainable: set[int] = set()
-        self.history: list = []
+        self.history: list[MetricsSnapshot] = []
         self.run_position: tuple[str, int] | None = None
         self.next_block_id = 0
         self.next_model_id = 0
@@ -181,6 +196,12 @@ class SystemState:
         self.blocks[block.id] = block
         self.next_block_id += 1
         return block
+
+    def settle_ended(self) -> None:
+        """Settle every block whose iteration has ended and that is not yet settled."""
+        for block in self.blocks.values():
+            if block.generation_tag < self.iterations_done and not block.settled:
+                block.settle()
 
     def block(self, block_id: int) -> LayerBlock:
         try:
@@ -233,6 +254,7 @@ class SystemState:
         if self.models and model.id <= next(reversed(self.models)):
             raise SystemError_(f"model {model.id} is not above the last committed id")
         self.validate_model(model)
+        model.flops = self._inference_flops(model)
         self.models[model.id] = model
         self.by_task.setdefault(model.task, {})[model.id] = model
         for lid, trainable in model.layers:
@@ -279,14 +301,9 @@ class SystemState:
         return total
 
     def inference_flops(self, model: ModelSpec) -> int:
-        """Dense-map flop count for one input sample at the model's resolution.
-        A committed model keeps the count: its blocks' shapes and its
-        resolution never change."""
-        if self.models.get(model.id) is not model:
-            return self._inference_flops(model)
-        if model.flops is None:
-            model.flops = self._inference_flops(model)
-        return model.flops
+        """Dense-map flop count for one input sample at the model's resolution:
+        the one its commit kept, or counted now for a never-committed model."""
+        return self._inference_flops(model) if model.flops is None else model.flops
 
     def _inference_flops(self, model: ModelSpec) -> int:
         resolution = model.hparams[RESOLUTION_AXIS]

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import random
 import re
 import shutil
@@ -437,6 +439,32 @@ def test_a_mu_key_the_model_can_never_take_is_rejected_at_its_model_line(tmp_pat
         with pytest.raises(CheckpointError, match=f"manifest line {number}: model 0 does not "
                            f"validate: model 0 mu table holds {key}, an action it can never"):
             load_checkpoint(str(tmp_path))
+
+
+def test_a_malformed_layers_hparams_or_mu_entry_is_named(tmp_path):
+    system = bootstrap_system(load_builtin_space("desk"), seed=21, width=8, depth=2,
+                              patch=8, channels=3)
+    save_checkpoint(system, str(tmp_path))
+    manifest = tmp_path / "manifest"
+    text = manifest.read_text()
+    lines = text.splitlines()
+    for kind, extra, message in (("layers", ",7", "layers entry '7' has no ':'"),
+                                 ("hparams", ";flip", "hparams entry 'flip' has no '='"),
+                                 ("mu", ";bogus", "mu entry 'bogus' has no '='")):
+        number, old = next((n, line) for n, line in enumerate(lines, 1)
+                           if line.startswith(f"{kind} 0 "))
+        manifest.write_text(text.replace(old + "\n", old + extra + "\n"))
+        with pytest.raises(CheckpointError, match=re.escape(f"manifest line {number}: {message}")):
+            load_checkpoint(str(tmp_path))
+
+
+def test_checkpoint_imports_nothing_from_evolution():
+    tree = ast.parse(pathlib.Path(checkpoint.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names and not [name for name in names if "evolution" in name.split(".")]
 
 
 def test_a_model_that_lists_a_block_twice_is_rejected_at_its_model_line(tmp_path):

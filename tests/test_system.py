@@ -315,11 +315,33 @@ def test_flops_are_computed_once_per_committed_model(monkeypatch):
         else:
             models.append(add_model(system, task, trunk, 4, 2))
             committed.append(models[-1].id)
+            # the commit counts them, before any read
+            assert models[-1].flops is not None
         for _ in range(3):
             for model in system.models.values():
                 system.inference_flops(model)
     # each model's flops once in its lifetime, however often it was read
     assert computed == committed
+
+
+def test_a_model_whose_flops_cannot_be_counted_is_rejected_at_commit():
+    system = empty_system()
+    trunk = simple_trunk(system)
+    add_model(system, "a", trunk, 4, 2)
+    # no channel count gives a square patch of 5 values
+    emb = add_dense_block(system, EMBEDDING, 5, 4)
+    head = add_dense_block(system, HEAD, 4, 2, task="b")
+    model = ModelSpec(id=system.new_model_id(), task="b",
+                      layers=[(emb.id, False), (trunk[1], False), (trunk[2], False),
+                              (head.id, True)],
+                      hparams=system.space.default_config(), mu={})
+    models, by_task = dict(system.models), {t: dict(m) for t, m in system.by_task.items()}
+    counts = {bid: (dict(refs), users) for bid, (refs, users) in referrers(system).items()}
+    trainable = set(system.ever_trainable)
+    with pytest.raises(SystemError_, match="cannot infer channel count from embedding d_in=5"):
+        system.commit_model(model)
+    assert system.models == models and system.by_task == by_task
+    assert referrers(system) == counts and system.ever_trainable == trainable
 
 
 def referrers(system):
