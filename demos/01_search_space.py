@@ -18,7 +18,7 @@ for name in space.axis_names():
 
 print("\n=== neighbor stepping ===")
 for name, value in (("learning_rate", 0.01), ("warmup_ratio", 0.0), ("resolution", 384)):
-    print(f"neighbors of {name}={value}: {space.neighbor_values(name, value)}")
+    print(f"neighbors of {name}={value}: {space.axis(name).neighbors(value)}")
 
 rng = Rng(7, "demo")
 value = space.axis("momentum").default

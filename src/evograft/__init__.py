@@ -17,11 +17,12 @@ from .evolution import (MODE_MUNET, MODE_MUNET_PLUS, EvolutionConfig, SegmentSpe
                         run_generation, run_plan, run_segment,
                         run_task_iteration, sample_parent)
 from .mutations import apply_mutations, inherit_mu, possible_mutations, sample_mutations
+from .reports import export_dot
 from .rng import Rng
 from .scoring import ScoreParams, calibrate, score, score_model
 from .search_space import (MU_GRID, MU_INIT, HparamAxis, SearchSpace,
                            load_builtin_space, load_space, mu_neighbors)
-from .system import LayerBlock, MetricsSnapshot, ModelSpec, SystemState, export_dot
+from .system import LayerBlock, MetricsSnapshot, ModelSpec, SystemState
 from .trainer import (TrainBudget, evaluate, forward, loss_and_gradients, lr_at,
                       preprocess_batch, sgd_step, train_cycle)
 

@@ -1,6 +1,6 @@
 """Command-line front end over the library.
 
-Subcommands: init, run, add-tasks, set-scoring, report, export-dot, gen-tasks.
+Subcommands: init, run, add-tasks, set-scoring, report, gen-tasks.
 Exits 0 on success; on failure prints a one-line diagnostic to stderr and
 exits nonzero. ``run`` saves the checkpoint after every task iteration and,
 rerun against the same segments file, continues from the recorded position.
@@ -19,7 +19,6 @@ from .data import (DatasetError, generate_synthetic_tasks, load_gen_spec, load_t
 from .evolution import EvolutionConfig, bootstrap_system, load_segments, run_plan
 from .scoring import calibrate
 from .search_space import load_space
-from .system import export_dot
 from .reports import emit_reports
 
 
@@ -93,13 +92,6 @@ def cmd_report(args) -> None:
     print(f"wrote {len(written)} report file(s) to {args.out}")
 
 
-def cmd_export_dot(args) -> None:
-    system = ckpt.load_checkpoint(args.checkpoint)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_dot(system))
-    print(f"wrote {args.out}")
-
-
 def cmd_gen_tasks(args) -> None:
     spec = load_gen_spec(args.spec)
     paths = generate_synthetic_tasks(spec, args.seed, args.out)
@@ -140,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("export-dot", help="write the system graph as DOT text")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("gen-tasks", help="generate synthetic task datasets")
     p.add_argument("--spec", required=True)

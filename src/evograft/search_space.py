@@ -100,9 +100,6 @@ class SearchSpace:
         for name, value in config.items():
             self.axes[name].index_of(value)
 
-    def neighbor_values(self, name: str, value) -> tuple:
-        return self.axis(name).neighbors(value)
-
     def step_value(self, name: str, value, rng: Rng):
         """Uniform choice among the value's neighbors on the named axis."""
         options = self.axis(name).neighbors(value)

@@ -354,53 +354,3 @@ def init_params(rng: Rng, d_in: int, d_out: int) -> np.ndarray:
 def zero_params(d_in: int, d_out: int) -> np.ndarray:
     """All-zero flat array for one dense map: a fresh head or optimizer state."""
     return np.zeros(d_in * d_out + d_out, dtype=np.float32)
-
-
-# -- DOT export ---------------------------------------------------------------
-
-_PALETTE = ("#e6194b", "#3cb44b", "#4363d8", "#f58231", "#911eb4", "#46f0f0",
-            "#f032e6", "#bcf60c", "#fabebe", "#008080", "#e6beff", "#9a6324",
-            "#fffac8", "#800000", "#aaffc3", "#808000", "#ffd8b1", "#000075")
-
-
-def _task_color(task: str, order: dict[str, int]) -> str:
-    if task == ROOT_TASK:
-        return "gray"
-    return _PALETTE[order[task] % len(_PALETTE)]
-
-
-def export_dot(system: SystemState) -> str:
-    """DOT digraph: triangle inputs, round blocks colored by creating task,
-    rectangular heads; edges follow each model's path bottom to top."""
-    lines = ["digraph multitask {", "  rankdir=BT;"]
-    tasks = system.tasks_with_models()
-    order = {t: i for i, t in enumerate(t for t in tasks if t != ROOT_TASK)}
-    models = system.models.values()
-
-    for task in tasks:
-        lines.append(f'  "in_{task}" [shape=triangle, label="{task}"];')
-    seen_blocks = set()
-    for model in models:
-        for lid in model.layer_ids()[:-1]:
-            if lid in seen_blocks:
-                continue
-            seen_blocks.add(lid)
-            block = system.block(lid)
-            color = _task_color(block.created_by_task, order)
-            lines.append(
-                f'  "b{lid}" [shape=ellipse, style=filled, fillcolor="{color}", '
-                f'label="{block.kind}{lid}"];')
-    for model in models:
-        color = _task_color(model.task, order)
-        lines.append(
-            f'  "head_m{model.id}" [shape=box, style=filled, fillcolor="{color}", '
-            f'label="{model.task}:m{model.id}"];')
-    for model in models:
-        color = _task_color(model.task, order)
-        path = model.layer_ids()
-        lines.append(f'  "in_{model.task}" -> "b{path[0]}" [color="{color}"];')
-        for a, b in zip(path[:-2], path[1:-1]):
-            lines.append(f'  "b{a}" -> "b{b}" [color="{color}"];')
-        lines.append(f'  "b{path[-2]}" -> "head_m{model.id}" [color="{color}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -111,6 +111,14 @@ def preprocess_batch(images: np.ndarray, hparams: dict, rng: Rng | None,
     return out
 
 
+def draws_per_image(hparams: dict) -> int:
+    """The uniforms ``_augment`` draws for each image: crop area, aspect, y and
+    x offset, one for the flip if it is on, then one per non-zero delta. So a
+    train batch of n images advances the rng counter by n times this."""
+    deltas = ("brightness", "contrast", "saturation", "hue", "quality")
+    return 4 + hparams["flip"] + sum(hparams[f"{name}_delta"] > 0 for name in deltas)
+
+
 def _augment(x: np.ndarray, hparams: dict, res: int, rng: Rng) -> np.ndarray:
     """Augment a float (n, h, w, c) batch exactly as one image at a time would
     be: the same draws in the same order, and each pixel's sums in its order.
@@ -120,9 +128,8 @@ def _augment(x: np.ndarray, hparams: dict, res: int, rng: Rng) -> np.ndarray:
     bright, contrast, sat, hue, quality = (hparams[f"{name}_delta"] for name in (
         "brightness", "contrast", "saturation", "hue", "quality"))
     flip = hparams["flip"]
-    k = 4 + flip + sum(d > 0 for d in (bright, contrast, sat, hue, quality))
-    # one row per draw an image takes: crop area, aspect, y and x offset, flip,
-    # then one per non-zero delta
+    k = draws_per_image(hparams)
+    # one row per draw an image takes, in draws_per_image's order
     u = rng.uniforms(n * k).reshape(n, k).T
     draws = iter(u[4 + flip:, :, None, None, None])
 
@@ -397,9 +404,9 @@ _helper_failed = False  # once no helper could start, long cycles stay in proces
 def _pipelined_batches(images: np.ndarray, hparams: dict, rng: Rng, order: list[int],
                        batch_size: int):
     """``_cycle_batches`` made ahead in the batch helper. A yielded batch is
-    valid only until the next batch is asked for. ``rng`` takes the helper's
-    counter with each batch, so if no helper can start, or it dies, the rest
-    of the cycle is made in process from where it stood."""
+    valid only until the next batch is asked for. ``rng`` advances past a
+    batch's draws once its bytes are read, so if no helper can start, or it stops, the
+    rest of the cycle is made in process, where an error the helper met recurs."""
     global _helper, _helper_failed
     if _helper is None and not _helper_failed:
         try:
@@ -415,10 +422,10 @@ def _pipelined_batches(images: np.ndarray, hparams: dict, rng: Rng, order: list[
                 yield item
                 made += 1
             return
-        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+        except (OSError, EOFError) as exc:
             log.warning("the train batch helper died (%s); the cycle goes on in process", exc)
             _close_helper()
-        except BaseException:  # an error in the helper, or the cycle was left mid-way
+        except BaseException:  # the cycle was left mid-way
             _close_helper()
             raise
     yield from _cycle_batches(images, hparams, rng, order[made * batch_size:], batch_size)
@@ -436,8 +443,8 @@ atexit.register(_close_helper)
 
 class _BatchHelper:
     """A fresh interpreter running ``_serve``. Jobs go down its stdin, pickled;
-    each batch comes up its stdout as a pickled header, then its float32
-    bytes, read into one buffer that every batch reuses."""
+    batches come up its stdout as bare float32 bytes, read into one buffer that
+    every batch reuses. Batch j's indices and draws follow from j."""
 
     def __init__(self):
         import fcntl  # fcntl and F_SETPIPE_SZ are looked up before a process starts
@@ -459,20 +466,17 @@ class _BatchHelper:
 
     def batches(self, images, hparams, rng, order, batch_size):
         res, channels = hparams[RESOLUTION_AXIS], images.shape[3]
-        per_image = res * res * channels
+        per_image, draws = res * res * channels, draws_per_image(hparams)
         if batch_size * per_image > self.buffer.size:
             self.buffer = np.empty(batch_size * per_image, np.float32)
         pickle.dump((images, hparams, rng.state(), order, batch_size), self.proc.stdin)
         self.proc.stdin.flush()
-        for _ in range(0, len(order), batch_size):
-            reply = pickle.load(self.proc.stdout)
-            if isinstance(reply, str):
-                raise TrainerError(reply)
-            idx, counter = reply
+        for start in range(0, len(order), batch_size):
+            idx = order[start:start + batch_size]
             batch = self.buffer[:len(idx) * per_image]
             if self.proc.stdout.readinto(batch) != batch.nbytes:
                 raise EOFError("a batch was cut short")
-            rng.counter = counter  # only now, so a cut batch is made again from its start
+            rng.counter += len(idx) * draws  # only now, so a cut batch is made again from its start
             yield idx, batch.reshape(len(idx), res, res, channels)
 
     def close(self) -> None:
@@ -486,23 +490,17 @@ class _BatchHelper:
 
 def _serve() -> None:
     """The batch helper's loop: write each job's ``_cycle_batches`` to stdout,
-    each batch as the pickled ``(idx, rng counter)``, then its bytes. It exits
-    on EOF or a broken pipe, which is also what it meets when the main process
-    dies."""
+    each batch's bytes and nothing else. Any exception ends it quietly: EOF or
+    a broken pipe, which it also meets when the main process dies, or an error
+    in a batch, which the main process meets again once the helper's stdout
+    ends short."""
     jobs, replies = sys.stdin.buffer, sys.stdout.buffer
-    with contextlib.suppress(EOFError, BrokenPipeError):
+    with contextlib.suppress(Exception):
         while True:
             images, hparams, state, order, batch_size = pickle.load(jobs)
-            rng = Rng(*state)
-            try:
-                for idx, batch in _cycle_batches(images, hparams, rng, order, batch_size):
-                    pickle.dump((idx, rng.counter), replies)
-                    replies.write(batch)
-                    replies.flush()
-            except TrainerError as exc:
-                pickle.dump(str(exc), replies)
+            for _, batch in _cycle_batches(images, hparams, Rng(*state), order, batch_size):
+                replies.write(batch)
                 replies.flush()
-                return
 
 
 def evaluate(system: SystemState, model: ModelSpec, images: np.ndarray,

@@ -95,10 +95,7 @@ def test_full_cli_flow(tmp_path, capsys):
     assert main(["report", "--checkpoint", ckpt, "--out", out]) == 0
     for name in ("timeline.csv", "hparam_hist.csv", "mu_hist.csv", "system.dot"):
         assert os.path.exists(os.path.join(out, name))
-
-    dot = str(root / "graph.dot")
-    assert main(["export-dot", "--checkpoint", ckpt, "--out", dot]) == 0
-    with open(dot) as fh:
+    with open(os.path.join(out, "system.dot")) as fh:
         assert fh.read().startswith("digraph multitask {")
 
     assert main(["set-scoring", "--checkpoint", ckpt, "--s", "0.9",

@@ -193,7 +193,7 @@ def test_apply_hparam_changes_only_named_axes(small_system):
     for axis, value in child.hparams.items():
         if axis in ("learning_rate", "flip"):
             assert value != root.hparams[axis]
-            assert value in small_system.space.neighbor_values(axis, root.hparams[axis])
+            assert value in small_system.space.axis(axis).neighbors(root.hparams[axis])
         else:
             assert value == root.hparams[axis]
 

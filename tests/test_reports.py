@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from evograft.evolution import run_task_iteration
-from evograft.reports import emit_reports, least_squares_line
+from evograft.reports import emit_reports, export_dot, least_squares_line
 
-from conftest import make_dataset
+from conftest import add_model, empty_system, make_dataset, simple_trunk
 from test_evolution import fresh_system, quick_config
 
 
@@ -109,3 +109,30 @@ def test_mu_hist_values_are_grid_labels(tmp_path):
     assert any(f.startswith("hparam:") for f in families)
     for r in rows:
         assert float(r[1]) in [round(0.02 * i, 2) for i in range(1, 16)]
+
+
+def test_export_dot_empty_system():
+    text = export_dot(empty_system())
+    assert text.startswith("digraph multitask {")
+    assert "->" not in text
+
+
+def test_export_dot_single_model_node_count():
+    system = empty_system()
+    trunk = simple_trunk(system, depth=2)  # 3 non-head layers
+    add_model(system, "a", trunk, 4, 2)
+    text = export_dot(system)
+    nodes = [line for line in text.splitlines() if "shape=" in line]
+    assert len(nodes) == len(trunk) + 2  # input triangle + blocks + head box
+
+
+def test_export_dot_shared_hiddens_have_out_degree_two():
+    system = empty_system()
+    trunk = simple_trunk(system, depth=2)
+    add_model(system, "a", trunk, 4, 2)
+    add_model(system, "b", trunk, 4, 2)
+    text = export_dot(system)
+    for hidden in trunk[1:]:
+        out_edges = [line for line in text.splitlines()
+                     if line.strip().startswith(f'"b{hidden}" ->')]
+        assert len(out_edges) == 2

@@ -54,11 +54,11 @@ def test_default_config_disables_preprocessing(table1_space):
 
 
 def test_neighbor_values(table1_space):
-    assert set(table1_space.neighbor_values("learning_rate", 0.01)) == {0.005, 0.02}
-    assert set(table1_space.neighbor_values("warmup_ratio", 0.0)) == {0.01}
-    assert set(table1_space.neighbor_values("resolution", 384)) == {224}
+    assert set(table1_space.axis("learning_rate").neighbors(0.01)) == {0.005, 0.02}
+    assert set(table1_space.axis("warmup_ratio").neighbors(0.0)) == {0.01}
+    assert set(table1_space.axis("resolution").neighbors(384)) == {224}
     with pytest.raises(SpaceError):
-        table1_space.neighbor_values("momentum", 0.999)
+        table1_space.axis("momentum").neighbors(0.999)
 
 
 def test_step_value_single_neighbor_cases(table1_space):

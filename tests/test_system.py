@@ -5,7 +5,7 @@ import pytest
 from evograft.checkpoint import load_checkpoint, save_checkpoint
 from evograft.rng import Rng
 from evograft.system import (EMBEDDING, HEAD, HIDDEN, ModelSpec, SystemError_,
-                             SystemState, dense_flops, embedding_flops, export_dot)
+                             SystemState, dense_flops, embedding_flops)
 
 from conftest import add_dense_block, add_model, empty_system, simple_trunk
 
@@ -194,33 +194,6 @@ def test_head_sharing_across_tasks_rejected():
                       mu={})
     with pytest.raises(SystemError_):
         system.commit_model(thief)
-
-
-def test_export_dot_empty_system():
-    text = export_dot(empty_system())
-    assert text.startswith("digraph multitask {")
-    assert "->" not in text
-
-
-def test_export_dot_single_model_node_count():
-    system = empty_system()
-    trunk = simple_trunk(system, depth=2)  # 3 non-head layers
-    add_model(system, "a", trunk, 4, 2)
-    text = export_dot(system)
-    nodes = [line for line in text.splitlines() if "shape=" in line]
-    assert len(nodes) == len(trunk) + 2  # input triangle + blocks + head box
-
-
-def test_export_dot_shared_hiddens_have_out_degree_two():
-    system = empty_system()
-    trunk = simple_trunk(system, depth=2)
-    add_model(system, "a", trunk, 4, 2)
-    add_model(system, "b", trunk, 4, 2)
-    text = export_dot(system)
-    for hidden in trunk[1:]:
-        out_edges = [line for line in text.splitlines()
-                     if line.strip().startswith(f'"b{hidden}" ->')]
-        assert len(out_edges) == 2
 
 
 def test_validate_model_rejects_bad_layer_order():

@@ -1,11 +1,15 @@
+import io
+import itertools
 import math
 import os
+import pickle
 import select
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -531,6 +535,18 @@ def test_train_preprocessing_matches_per_image_reference(desk_space):
                                        ("4-channel hue", True), ("n", 1)}
 
 
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("on", itertools.product((False, True), repeat=len(JITTER_AXES)))
+def test_a_train_batch_takes_draws_per_image_uniforms_an_image(desk_space, flip, on):
+    # the batch helper's reader advances the rng by this count without drawing
+    hp = dict(desk_space.default_config(), flip=flip,
+              **{name: 0.1 if is_on else 0.0 for name, is_on in zip(JITTER_AXES, on)})
+    images = np.random.default_rng(8).integers(0, 256, size=(5, 12, 12, 3), dtype=np.uint8)
+    rng = Rng(9, "draws")
+    preprocess_batch(images, hp, rng, train_mode=True)
+    assert rng.counter == 5 * trainer.draws_per_image(hp) == 5 * (4 + flip + sum(on))
+
+
 def test_train_preprocessing_matches_the_reference_at_crop_plan_edges(desk_space):
     # full crops at res == h and w (identity taps), 1-pixel crops (forced by a
     # 1-pixel side, or by an extreme aspect), 8x8 and 12x20 images, n = 1, and
@@ -731,6 +747,32 @@ def test_a_batch_cut_short_is_made_again_in_process(desk_space, monkeypatch, cap
     assert made == [batch.tobytes() for _, batch in reference]
     assert piped_rng.state() == in_process_rng.state() and trainer._helper is None
     assert any("a batch was cut short" in r.message for r in caplog.records)
+
+
+def test_the_helper_writes_only_batch_bytes_and_stops_at_an_error(desk_space, monkeypatch):
+    # three 20-image jobs in batches of 8; the second one's second batch fails
+    images = np.random.default_rng(9).integers(0, 256, size=(20, 16, 16, 3), dtype=np.uint8)
+    hp = dict(desk_space.default_config(), flip=True, contrast_delta=0.05)
+    order = list(range(20))[::-1]
+    job = (images, hp, Rng(10, "wire").state(), order, 8)
+    jobs, replies = io.BytesIO(pickle.dumps(job) * 3), io.BytesIO()
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=jobs))
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=replies))
+    calls, real_preprocess = [], trainer.preprocess_batch
+
+    def fails_fifth(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            raise TrainerError("the fifth batch fails")
+        return real_preprocess(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "preprocess_batch", fails_fifth)
+    trainer._serve()
+    monkeypatch.undo()
+    batches = [batch.tobytes() for _, batch in trainer._cycle_batches(
+        images, hp, Rng(10, "wire"), order, 8)]
+    assert len(batches) == 3 and len(calls) == 5
+    assert replies.getvalue() == b"".join(batches + batches[:1])
 
 
 LONG_CYCLE_SCRIPT = """
