@@ -2,7 +2,8 @@
 
 A fresh system holds only the untrained root model. The first iteration for a
 task samples parents (the root, at first), mutates children, trains each for a
-few capped cycles, and finally keeps exactly one model for the task.
+few capped cycles, and finally keeps exactly one model for the task. The
+iteration's task is its dataset's name, and its draws come from ``system.rng``.
 """
 
 import tempfile
@@ -25,7 +26,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     cfg = EvolutionConfig(generations=2, children_per_generation=3, train_cycles=3,
                           budget=TrainBudget(batch_size=16))
-    run_task_iteration(system, "digits", dataset, cfg, system.rng)
+    run_task_iteration(system, dataset, cfg)
 
     winner = system.models_for("digits")[0]
     test_acc = evaluate(system, winner, *dataset.split("test"))

@@ -2,14 +2,15 @@
 retention, segments.
 
 One task iteration runs a fixed number of generations for a single active
-task. Each generation spawns children by sampling a parent (best-scoring
-active models first, falling back to a shuffled pass over the rest, each
-candidate accepted with probability 0.5^selections), sampling a mutation set
-from the parent's probability table, and training the child for a number of
-capped cycles. The retention bar starts at a same-task parent's score (-inf
-for a parent from another task) and rises to each retained checkpoint's
-score. Finalization keeps the single best-scoring model for the task and
-garbage-collects everything it orphaned.
+task, the name of the dataset it is given; every draw it makes comes from
+``system.rng``, the stream a checkpoint records. Each generation spawns
+children by sampling a parent (best-scoring active models first, falling back
+to a shuffled pass over the rest, each candidate accepted with probability
+0.5^selections), sampling a mutation set from the parent's probability table,
+and training the child for a number of capped cycles. The retention bar
+starts at a same-task parent's score (-inf for a parent from another task) and
+rises to each retained checkpoint's score. Finalization keeps the single
+best-scoring model for the task and garbage-collects everything it orphaned.
 
 The mode is ``system.score_params.compute_factor_enabled`` (``compute=`` in a
 checkpoint), which the mutation functions read. A segment bundles overrides
@@ -177,26 +178,23 @@ def _restore_payload(system: SystemState, payload: dict) -> None:
 
 
 def _train_child(system: SystemState, child: ModelSpec, parent: ModelSpec,
-                 task: str, dataset: TaskDataset, cfg: EvolutionConfig,
-                 rng: Rng, val_batches: dict | None = None):
-    """Run the training cycles; return (quality, payload) of the best retained
-    checkpoint or None if every cycle fell below the bar. ``val_batches`` maps
-    a resolution to the preprocessed validation split; a missing one is
-    preprocessed and added."""
+                 dataset: TaskDataset, cfg: EvolutionConfig, val_batches: dict):
+    """Run the training cycles on ``system.rng``; return (quality, payload) of
+    the best retained checkpoint or None if every cycle fell below the bar.
+    ``val_batches`` maps a resolution to the preprocessed validation split; a
+    missing one is preprocessed and added."""
     val_images, val_labels = dataset.split("val")
     # Eval preprocessing depends only on the resolution, which is fixed while a
     # child trains; it goes through the module so wrappers installed there see it.
-    if val_batches is None:
-        val_batches = {}
     resolution = child.hparams[RESOLUTION_AXIS]
     if resolution not in val_batches:
         val_batches[resolution] = trainer.preprocess_batch(val_images, child.hparams, None,
                                                            train_mode=False)
     val_batch = val_batches[resolution]
-    bar = score_model(system, parent) if parent.task == task else -math.inf
+    bar = score_model(system, parent) if parent.task == child.task else -math.inf
     best = None
     for cycle in range(cfg.train_cycles):
-        train_cycle(system, child, dataset, cfg.budget, cycle, cfg.train_cycles, rng)
+        train_cycle(system, child, dataset, cfg.budget, cycle, cfg.train_cycles, system.rng)
         quality = batch_accuracy(system, child, val_batch, val_labels)
         candidate = score_model(system, child, quality)
         if candidate >= bar:
@@ -206,14 +204,15 @@ def _train_child(system: SystemState, child: ModelSpec, parent: ModelSpec,
     return best
 
 
-def run_generation(system: SystemState, task: str, dataset: TaskDataset,
-                   cfg: EvolutionConfig, active: list[ModelSpec],
-                   rng: Rng) -> list[ModelSpec]:
-    """Spawn, train and retain/discard one generation of children.
+def run_generation(system: SystemState, dataset: TaskDataset, cfg: EvolutionConfig,
+                   active: list[ModelSpec]) -> list[ModelSpec]:
+    """Spawn, train and retain/discard one generation of children for
+    ``dataset``'s task, drawing from ``system.rng``.
 
     Trainer failures are contained per child: the failing child is discarded
     and the generation moves on. The children share one preprocessed
     validation split per resolution."""
+    task, rng = dataset.name, system.rng
     retained, val_batches = [], {}
     for _ in range(cfg.children_per_generation):
         parent = sample_parent(system, task, active, rng)
@@ -221,7 +220,7 @@ def run_generation(system: SystemState, task: str, dataset: TaskDataset,
         child = apply_mutations(system, parent, actions, task, dataset.num_classes, rng)
         system.commit_model(child)
         try:
-            best = _train_child(system, child, parent, task, dataset, cfg, rng, val_batches)
+            best = _train_child(system, child, parent, dataset, cfg, val_batches)
         except TrainerError as exc:
             log.warning("child %d failed training on %s: %s", child.id, task, exc)
             system.discard_model(child)
@@ -238,17 +237,16 @@ def run_generation(system: SystemState, task: str, dataset: TaskDataset,
     return retained
 
 
-def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
-                       cfg: EvolutionConfig, rng: Rng) -> SystemState:
-    """One active-task iteration: generations of children, then keep-best.
-    Every block the iteration created is settled (read-only) as it ends."""
-    if task == ROOT_TASK:
+def run_task_iteration(system: SystemState, dataset: TaskDataset,
+                       cfg: EvolutionConfig) -> None:
+    """One iteration on ``dataset``'s task: generations of children, then
+    keep-best. Every block the iteration created is settled (read-only) as it
+    ends."""
+    if dataset.name == ROOT_TASK:
         raise EvolutionError("the root pseudo-task cannot be iterated")
-    if dataset.name != task:
-        raise EvolutionError(f"dataset {dataset.name!r} does not match task {task!r}")
-    active = system.models_for(task)
+    active = system.models_for(dataset.name)
     for _ in range(cfg.generations):
-        run_generation(system, task, dataset, cfg, active, rng)
+        run_generation(system, dataset, cfg, active)
 
     if active:
         best, *rest = _best_first(system, active)
@@ -257,12 +255,11 @@ def run_task_iteration(system: SystemState, task: str, dataset: TaskDataset,
         best.score_snapshot = score_model(system, best)
     system.iterations_done += 1
     system.settle_ended()
-    return system
 
 
 def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
-                     task_subset: list[str], segment: str = "",
-                     task: str = "") -> MetricsSnapshot:
+                     task_subset: list[str], segment: str = "-",
+                     task: str = "-") -> MetricsSnapshot:
     """Mean test accuracy over the subset's modeled tasks; cost means over all
     models in the system.
 
@@ -294,10 +291,14 @@ def metrics_snapshot(system: SystemState, datasets: dict[str, TaskDataset],
 
 
 def _check_tasks(segment: SegmentSpec, datasets: dict[str, TaskDataset]) -> None:
-    """Raise on a task the segment names that ``datasets`` lacks."""
+    """Raise on a task the segment names that ``datasets`` lacks or maps to a
+    dataset of another name, the task an iteration on it would run."""
     for name in segment.tasks:
         if name not in datasets:
             raise EvolutionError(f"segment {segment.label!r} names unknown task {name!r}")
+        if datasets[name].name != name:
+            raise EvolutionError(f"segment {segment.label!r} maps task {name!r} to dataset "
+                                 f"{datasets[name].name!r}")
 
 
 def run_segment(system: SystemState, segment: SegmentSpec,
@@ -326,7 +327,7 @@ def run_segment(system: SystemState, segment: SegmentSpec,
     snapshots = []
     order = [task for _ in range(segment.iterations) for task in segment.tasks]
     for task in order[start:]:
-        run_task_iteration(system, task, datasets[task], cfg, system.rng)
+        run_task_iteration(system, datasets[task], cfg)
         snap = metrics_snapshot(system, datasets, segment.tasks, segment.label, task)
         system.history.append(snap)
         snapshots.append(snap)

@@ -22,9 +22,6 @@ class ScoreParams:
     def __post_init__(self):
         # floats, so an integer override is written and read back as the same value
         self.s, self.P, self.F = float(self.s), float(self.P), float(self.F)
-        self.validate()
-
-    def validate(self) -> None:
         if not (0.0 < self.s <= 1.0):
             raise ValueError(f"scale factor s must be in (0, 1], got {self.s}")
         if not (math.isfinite(self.P) and self.P > 0):

@@ -15,7 +15,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from evograft import trainer
-from evograft.data import TaskDataset
+from evograft.data import TaskDataset, _prototype, _sample_split
 from evograft.evolution import EvolutionError, bootstrap_system
 from evograft.mutations import clone_action
 from evograft.rng import Rng
@@ -45,20 +45,13 @@ def small_system(desk_space):
 def make_dataset(name: str, classes: int = 4, h: int = 16, w: int = 16, c: int = 3,
                  n_train: int = 96, n_val: int = 48, n_test: int = 48,
                  noise: float = 0.05, seed: int = 5) -> TaskDataset:
-    """In-memory prototype classification task, same recipe as the generator."""
+    """In-memory prototype classification task, made by the generator's own
+    prototype and split functions."""
     rng = Rng(seed, f"fixture/{name}")
-    protos = []
-    for _ in range(classes):
-        coarse = 0.25 + 0.5 * rng.uniforms(4 * 4 * c).reshape(4, 4, c)
-        from evograft.data import bilinear_resize
-        protos.append(bilinear_resize(coarse, h, w))
-    protos = np.stack(protos)
+    protos = np.stack([_prototype(rng, h, w, c) for _ in range(classes)])
     ds = TaskDataset(name=name, num_classes=classes, h=h, w=w, c=c)
     for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
-        labels = np.array([rng.randint(classes) for _ in range(count)], dtype=np.int64)
-        noise_arr = rng.normals(count * h * w * c, 0.0, noise).reshape(count, h, w, c)
-        images = np.clip(protos[labels] + noise_arr, 0.0, 1.0)
-        ds.splits[split] = (np.round(images * 255.0).astype(np.uint8), labels)
+        ds.splits[split] = _sample_split(rng, protos, count, noise)
     return ds
 
 

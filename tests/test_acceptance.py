@@ -209,7 +209,7 @@ def test_algorithm_structure(pair_datasets):
     visited = []
     for round_ in range(2):
         for task in ("t0", "t1"):
-            run_task_iteration(system, task, pair_datasets[task], cfg, system.rng)
+            run_task_iteration(system, pair_datasets[task], cfg)
             visited.append(task)
             for seen in set(visited):
                 assert len(system.models_for(seen)) == 1
@@ -226,7 +226,7 @@ def test_algorithm_structure(pair_datasets):
     child = apply_mutations(system, parent, set(), "t0", 4, rng)
     system.commit_model(child)
     parent.quality = 0.0  # any finite child quality ties or beats this
-    kept = _train_child(system, child, parent, "t0", pair_datasets["t0"], cfg, rng)
+    kept = _train_child(system, child, parent, pair_datasets["t0"], cfg, {})
     assert kept is not None
     system.discard_model(child)
 
@@ -234,7 +234,7 @@ def test_algorithm_structure(pair_datasets):
     root = next(m for m in system.models.values() if m.task == "root")
     child = apply_mutations(system, root, set(), "t1", 4, rng)
     system.commit_model(child)
-    kept = _train_child(system, child, root, "t1", pair_datasets["t1"], cfg, rng)
+    kept = _train_child(system, child, root, pair_datasets["t1"], cfg, {})
     assert kept is not None
     system.discard_model(child)
 
@@ -322,7 +322,7 @@ def test_determinism_and_persistence(pair_datasets, tmp_path):
                                   depth=3, patch=8, channels=3)
         cfg = desk_config(generations=1, children_per_generation=2, train_cycles=2)
         for _ in range(iterations):
-            run_task_iteration(system, "t0", pair_datasets["t0"], cfg, system.rng)
+            run_task_iteration(system, pair_datasets["t0"], cfg)
             system.history.append(
                 metrics_snapshot(system, pair_datasets, ["t0"], "det", "t0"))
         return system
@@ -338,7 +338,7 @@ def test_determinism_and_persistence(pair_datasets, tmp_path):
     save_checkpoint(half, str(ph))
     resumed = load_checkpoint(str(ph))
     cfg = desk_config(generations=1, children_per_generation=2, train_cycles=2)
-    run_task_iteration(resumed, "t0", pair_datasets["t0"], cfg, resumed.rng)
+    run_task_iteration(resumed, pair_datasets["t0"], cfg)
     resumed.history.append(
         metrics_snapshot(resumed, pair_datasets, ["t0"], "det", "t0"))
     assert system_digest(resumed) == system_digest(a)

@@ -5,6 +5,7 @@ import random
 import re
 import shutil
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +28,7 @@ def evolved_system(seed=21, iterations=1):
     system.task_paths = {"t": "datasets/t"}
     ds = make_dataset("t", seed=60)
     for _ in range(iterations):
-        run_task_iteration(system, "t", ds, quick_config(), system.rng)
+        run_task_iteration(system, ds, quick_config())
         system.history.append(metrics_snapshot(system, {"t": ds}, ["t"], "seg", "t"))
     return system
 
@@ -111,6 +112,32 @@ def test_truncated_pack_names_the_block(tmp_path):
     manifest.write_text(manifest.read_text().replace(
         line, f"block {victim} {b.kind} {b.d_in} {b.d_out + 1} "))
     with pytest.raises(CheckpointError, match=f"block {victim}\\b"):
+        load_checkpoint(str(tmp_path))
+
+
+def test_a_cut_last_record_does_not_fall_back_to_an_earlier_whole_one(tmp_path):
+    system = evolved_system()
+    save_checkpoint(system, str(tmp_path))
+    pack, length = placement(tmp_path)
+    block = system.blocks[max(system.blocks)]
+    # a later record of the same block, with different parameters
+    newer = record(SimpleNamespace(id=block.id, params=block.params + 1.0, opt=block.opt))
+    with open(pack, "ab") as fh:
+        fh.write(newer)
+    manifest = tmp_path / "manifest"
+    text, placed = manifest.read_text(), f"pack {pack.name} {length}\n"
+    assert text.endswith(placed)
+    body = text[:-len(placed)]
+
+    def place(end):
+        manifest.write_text(body + f"pack {pack.name} {end}\n")
+
+    place(length + len(newer))
+    loaded = load_checkpoint(str(tmp_path))
+    assert (loaded.blocks[block.id].params == block.params + 1.0).all()
+    place(length + len(newer) - 4)
+    with pytest.raises(CheckpointError, match=f"^pack {pack.name} has {length} of its "
+                                              f"{length + len(newer) - 4} bytes in whole"):
         load_checkpoint(str(tmp_path))
 
 
@@ -579,6 +606,15 @@ def test_a_snapshot_whose_segment_or_task_is_not_one_word_is_not_saved(tmp_path)
         assert not (tmp_path / "manifest").exists()
 
 
+def test_a_snapshot_made_with_the_defaults_is_saved_and_loaded_back(tmp_path):
+    from evograft.evolution import metrics_snapshot
+    system = bootstrap_system(load_builtin_space("desk"), seed=21, width=8, depth=3,
+                              patch=8, channels=3)
+    system.history.append(metrics_snapshot(system, {}, []))
+    save_checkpoint(system, str(tmp_path))
+    assert load_checkpoint(str(tmp_path)).history == system.history
+
+
 def test_kept_text_is_rendered_once_per_object_and_again_only_after_a_load(
         tmp_path, monkeypatch):
     from evograft.evolution import SegmentSpec, run_plan
@@ -715,7 +751,7 @@ def test_interrupted_and_resumed_run_matches_straight_run(tmp_path):
     save_checkpoint(broken, str(tmp_path))
     resumed = load_checkpoint(str(tmp_path))
     ds = make_dataset("t", seed=60)
-    run_task_iteration(resumed, "t", ds, quick_config(), resumed.rng)
+    run_task_iteration(resumed, ds, quick_config())
     resumed.history.append(metrics_snapshot(resumed, {"t": ds}, ["t"], "seg", "t"))
 
     assert system_digest(resumed) == system_digest(straight)
@@ -753,7 +789,7 @@ def test_save_after_load_and_run_matches_a_fresh_save(tmp_path):
     before = placement(ckpt)[0].read_bytes()
     resumed = load_checkpoint(str(ckpt))
     ds = make_dataset("t", seed=60)
-    run_task_iteration(resumed, "t", ds, quick_config(), resumed.rng)
+    run_task_iteration(resumed, ds, quick_config())
     save_checkpoint(resumed, str(ckpt))
     save_checkpoint(resumed, str(fresh))
     pack, _ = placement(ckpt)
@@ -775,8 +811,7 @@ def test_save_appends_only_what_may_have_changed(tmp_path):
     appended = 0
     for _ in range(4):
         known, blob = set(system.blocks), pack.read_bytes()
-        run_task_iteration(system, "t", make_dataset("t", seed=60), quick_config(),
-                           system.rng)
+        run_task_iteration(system, make_dataset("t", seed=60), quick_config())
         save_checkpoint(system, str(tmp_path))
         new = [b for bid, b in system.blocks.items() if bid not in known]
         assert pack.read_bytes() == blob + b"".join(record(b) for b in new)

@@ -210,6 +210,15 @@ def test_add_tasks_registers_new_datasets(tmp_path, capsys):
     assert set(system.task_paths) == {"alpha", "beta", "gamma"}
     capsys.readouterr()
 
+    # the same task name under another directory is not registered twice
+    moved = str(root / "moved_tasks")
+    assert main(["gen-tasks", "--spec", more, "--seed", "6", "--out", moved]) == 0
+    digest = system_digest(load_checkpoint(ckpt))
+    capsys.readouterr()
+    assert main(["add-tasks", "--checkpoint", ckpt, "--tasks", moved]) == 1
+    assert capsys.readouterr().err == "error: task 'gamma' already registered elsewhere\n"
+    assert system_digest(load_checkpoint(ckpt)) == digest
+
 
 def test_add_tasks_rejects_a_different_channel_count(tmp_path, capsys):
     ckpt, _, root = setup_workspace(tmp_path)
@@ -313,9 +322,12 @@ def test_module_entry_point(tmp_path):
          "--seed", "3", "--out", str(tmp_path / "t")],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert data.scan_task_dirs(str(tmp_path / "t")) == {
+        name: str(tmp_path / "t" / name) for name in ("alpha", "beta")}
     proc = subprocess.run([sys.executable, "-m", "evograft", "run",
                            "--checkpoint", str(tmp_path / "nope"),
                            "--segments", str(tmp_path / "nope.txt")],
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -70,6 +70,36 @@ def test_non_integer_meta_field_names_the_file_and_the_field(tmp_path):
             read_task_meta(str(tmp_path))
 
 
+def test_a_meta_without_a_key_or_with_a_spaced_name_names_the_file(tmp_path):
+    good = {"name": "alpha", "classes": "4", "h": "8", "w": "8", "c": "3"}
+    for key in good:
+        fields = {k: v for k, v in good.items() if k != key}
+        (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        with pytest.raises(DatasetError, match=rf"meta\b.*: missing {key}=$"):
+            read_task_meta(str(tmp_path))
+    for name in ("al pha", ""):
+        fields = dict(good, name=name)
+        (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        with pytest.raises(DatasetError, match=r"meta\b.*task name must be whitespace-free"):
+            read_task_meta(str(tmp_path))
+
+
+def test_a_split_that_disagrees_with_its_meta_is_rejected(tmp_path):
+    spec = GenSpec(tasks=[TaskGenSpec(name="alpha", classes=3, h=8, w=8, train=4, val=4,
+                                      test=4)])
+    (task_dir,) = generate_synthetic_tasks(spec, seed=3, out_dir=str(tmp_path))
+    val = os.path.join(task_dir, "val.bin")
+    images, labels = read_split(val)
+    write_split(val, images[:, :4], labels)
+    with pytest.raises(DatasetError, match=r"val\.bin dims disagree with meta$"):
+        load_task_dir(task_dir)
+    write_split(val, images, np.where(np.arange(len(labels)) == 1, 3, labels))
+    with pytest.raises(DatasetError, match=r"val\.bin has labels out of range$"):
+        load_task_dir(task_dir)
+    write_split(val, images, np.full_like(labels, 2))
+    assert load_task_dir(task_dir).split("val")[1].tolist() == [2] * len(labels)
+
+
 def test_a_meta_size_below_one_names_the_file_and_the_field(tmp_path):
     good = {"name": "alpha", "classes": "4", "h": "8", "w": "8", "c": "3"}
     for field in ("classes", "h", "w", "c"):
@@ -149,6 +179,11 @@ def test_related_pair_shares_class_prototypes(tmp_path):
     private = [np.abs(means_a[c] - means_b[c]).mean() for c in (2, 3)]
     assert max(shared) < min(private) / 3.0
 
+    spec.tasks[1] = TaskGenSpec(name="b", classes=4, h=8, w=8, train=40)
+    with pytest.raises(DatasetError, match="related tasks a and b must share image dims"):
+        generate_synthetic_tasks(spec, seed=33, out_dir=str(tmp_path / "other"))
+    assert not (tmp_path / "other").exists()
+
 
 def test_gen_spec_parsing_and_validation():
     spec = parse_gen_spec("""
@@ -166,6 +201,16 @@ relate a b share=0.5
         parse_gen_spec("nonsense line\n")
     with pytest.raises(DatasetError):
         parse_gen_spec("")
+    for text, message in (
+            ("task\n", "line 1: malformed task line: 'task'"),
+            ("task a size=4\n", "line 1: unknown task field 'size'"),
+            ("task a\ntask b\ntask a classes=2\n", "line 3: duplicate task name 'a'"),
+            ("task a\ntask b\nrelate a b\n", "line 3: malformed relate line: 'relate a b'"),
+            ("task a\ntask b\nrelate a b 0.5\n", "line 3: malformed relate line"),
+            ("task a\ntask b\nrelate a b share=1.5\n", r"share must be in \[0, 1\], got 1.5"),
+            ("task a\ntask b\nrelate a b share=-0.1\n", r"share must be in \[0, 1\], got -0.1")):
+        with pytest.raises(DatasetError, match=f"^{message}"):
+            parse_gen_spec(text)
 
 
 def test_gen_spec_values_are_checked_where_the_spec_is_built():

@@ -124,9 +124,9 @@ def set_selection_counts(system, counts):
 def test_sample_parent_returns_best_active_when_counts_zero():
     system = fresh_system()
     ds = make_dataset("t", seed=40)
-    rng = Rng(1, "p")
-    run_task_iteration(system, "t", ds, quick_config(), rng)
-    run_task_iteration(system, "u", make_dataset("u", seed=41), quick_config(), rng)
+    rng = system.rng = Rng(1, "p")
+    run_task_iteration(system, ds, quick_config())
+    run_task_iteration(system, make_dataset("u", seed=41), quick_config())
     active = system.models_for("t")
     assert len(active) == 1
     set_selection_counts(system, {})
@@ -139,8 +139,8 @@ def test_sample_parent_returns_best_active_when_counts_zero():
 def test_sample_parent_acceptance_frequency_for_count_two():
     system = fresh_system()
     ds = make_dataset("t", seed=42)
-    rng = Rng(2, "p")
-    run_task_iteration(system, "t", ds, quick_config(), rng)
+    rng = system.rng = Rng(2, "p")
+    run_task_iteration(system, ds, quick_config())
     active = system.models_for("t")
     first = active[0]
     n, hits = 10_000, 0
@@ -162,8 +162,8 @@ def test_sample_parent_empty_active_draws_from_other_tasks():
 def test_sample_parent_fallback_is_uniform_and_counted():
     system = fresh_system()
     ds = make_dataset("t", seed=43)
-    rng = Rng(4, "p")
-    run_task_iteration(system, "t", ds, quick_config(), rng)
+    rng = system.rng = Rng(4, "p")
+    run_task_iteration(system, ds, quick_config())
     models = sorted(system.models.values(), key=lambda m: m.id)
     counts = {m.id: 0 for m in models}
     n = 4000
@@ -180,46 +180,46 @@ def test_sample_parent_fallback_is_uniform_and_counted():
 def test_child_tying_same_task_parent_is_retained():
     system = fresh_system()
     ds = constant_label_dataset("t")
-    rng = Rng(5, "tie")
+    rng = system.rng = Rng(5, "tie")
     cfg = quick_config(train_cycles=2)
-    run_task_iteration(system, "t", ds, cfg, rng)
+    run_task_iteration(system, ds, cfg)
     parent = system.models_for("t")[0]
     assert parent.quality == 1.0  # constant labels saturate
     child = apply_mutations(system, parent, set(), "t", 2, rng)
     system.commit_model(child)
-    best = _train_child(system, child, parent, "t", ds, cfg, rng)
+    best = _train_child(system, child, parent, ds, cfg, {})
     assert best is not None and best[0] == 1.0  # exact tie, kept by >=
 
 
 def test_child_below_same_task_parent_is_dropped():
     system = fresh_system()
     ds = random_label_dataset("t")
-    rng = Rng(6, "drop")
+    rng = system.rng = Rng(6, "drop")
     cfg = quick_config()
-    run_task_iteration(system, "t", ds, cfg, rng)
+    run_task_iteration(system, ds, cfg)
     parent = system.models_for("t")[0]
     parent.quality = 1.0  # unreachable bar on random labels
     child = apply_mutations(system, parent, set(), "t", 4, rng)
     system.commit_model(child)
-    assert _train_child(system, child, parent, "t", ds, cfg, rng) is None
+    assert _train_child(system, child, parent, ds, cfg, {}) is None
 
 
 def test_cross_task_parent_imposes_no_bar():
     system = fresh_system()
     ds = random_label_dataset("t")
-    rng = Rng(7, "inf")
+    rng = system.rng = Rng(7, "inf")
     cfg = quick_config()
     root = next(iter(system.models.values()))
     child = apply_mutations(system, root, set(), "t", 4, rng)
     system.commit_model(child)
-    best = _train_child(system, child, root, "t", ds, cfg, rng)
+    best = _train_child(system, child, root, ds, cfg, {})
     assert best is not None  # threshold is -inf for parents from other tasks
 
 
 def test_child_validation_split_is_preprocessed_once(monkeypatch):
     system = fresh_system()
     ds = make_dataset("t", seed=45)
-    rng = Rng(9, "val")
+    rng = system.rng = Rng(9, "val")
     root = next(iter(system.models.values()))
     child = apply_mutations(system, root, set(), "t", 4, rng)
     system.commit_model(child)
@@ -232,8 +232,8 @@ def test_child_validation_split_is_preprocessed_once(monkeypatch):
         return original(images, hparams, rng, train_mode)
 
     monkeypatch.setattr(trainer, "preprocess_batch", counting)
-    quality, payload = _train_child(system, child, root, "t", ds,
-                                    quick_config(train_cycles=3), rng)
+    quality, payload = _train_child(system, child, root, ds,
+                                    quick_config(train_cycles=3), {})
     monkeypatch.undo()
     val_images, val_labels = ds.split("val")
     assert eval_calls == [len(val_images)]
@@ -254,7 +254,8 @@ def test_child_validation_split_is_preprocessed_once(monkeypatch):
 
     monkeypatch.setattr(evolution, "apply_mutations", spawn)
     monkeypatch.setattr(trainer, "preprocess_batch", counting_resolution)
-    run_generation(system, "t", ds, quick_config(children_per_generation=6), [], Rng(5, "gen"))
+    system.rng = Rng(5, "gen")
+    run_generation(system, ds, quick_config(children_per_generation=6), [])
     monkeypatch.undo()
     resolutions = list(dict.fromkeys(child.hparams["resolution"] for child in children))
     assert len(children) == 6 and len(resolutions) > 1
@@ -269,9 +270,9 @@ def test_empty_validation_split_fails_the_child_before_training(monkeypatch, cap
     cycles = []
     monkeypatch.setattr(evolution, "train_cycle", lambda *args: cycles.append(args))
     before = list(system.models)
+    system.rng = Rng(8, "gen")
     with caplog.at_level(logging.WARNING, logger="evograft"):
-        retained = run_generation(system, "t", ds, quick_config(train_cycles=3), [],
-                                  Rng(8, "gen"))
+        retained = run_generation(system, ds, quick_config(train_cycles=3), [])
     assert retained == [] and cycles == []
     assert list(system.models) == before
     assert "failed training" in caplog.text and "empty batch" in caplog.text
@@ -280,10 +281,9 @@ def test_empty_validation_split_fails_the_child_before_training(monkeypatch, cap
 def test_generation_retains_children_into_active_population():
     system = fresh_system()
     ds = make_dataset("t", seed=44)
-    rng = Rng(8, "gen")
+    system.rng = Rng(8, "gen")
     active = []
-    retained = run_generation(system, "t", ds, quick_config(children_per_generation=2),
-                              active, rng)
+    retained = run_generation(system, ds, quick_config(children_per_generation=2), active)
     assert retained and active == retained
     assert all(m.id in system.models for m in retained)
     assert all(m.quality is not None and m.score_snapshot is not None for m in retained)
@@ -293,13 +293,13 @@ def test_task_iteration_keeps_exactly_one_model():
     system = fresh_system()
     ds = make_dataset("t", seed=45)
     other = make_dataset("u", seed=46)
-    rng = Rng(9, "iter")
+    system.rng = Rng(9, "iter")
     cfg = quick_config(generations=2, children_per_generation=2)
-    run_task_iteration(system, "u", other, cfg, rng)
+    run_task_iteration(system, other, cfg)
     u_model = system.models_for("u")[0]
     u_blocks = {lid: system.block(lid).params.tobytes() for lid in u_model.layer_ids()}
 
-    run_task_iteration(system, "t", ds, cfg, rng)
+    run_task_iteration(system, ds, cfg)
     assert len(system.models_for("t")) == 1
     assert len(system.models_for("u")) == 1
     assert system.models_for("u")[0].id == u_model.id
@@ -318,8 +318,8 @@ def test_task_iteration_keeps_exactly_one_model():
 def test_fresh_task_single_child_adds_exactly_one_model():
     system = fresh_system()
     before = set(system.models)
-    run_task_iteration(system, "t", make_dataset("t", seed=47), quick_config(),
-                       Rng(10, "one"))
+    system.rng = Rng(10, "one")
+    run_task_iteration(system, make_dataset("t", seed=47), quick_config())
     added = set(system.models) - before
     assert len(added) == 1
     assert system.models[added.pop()].task == "t"
@@ -328,12 +328,12 @@ def test_fresh_task_single_child_adds_exactly_one_model():
 def test_selection_counts_persist_across_iterations():
     system = fresh_system()
     ds = make_dataset("t", seed=48)
-    rng = Rng(11, "persist")
+    system.rng = Rng(11, "persist")
     cfg = quick_config()
-    run_task_iteration(system, "t", ds, cfg, rng)
+    run_task_iteration(system, ds, cfg)
     after_first = {m.id: dict(m.selections) for m in system.models.values()}
     assert any(after_first.values())
-    run_task_iteration(system, "t", ds, cfg, rng)
+    run_task_iteration(system, ds, cfg)
     for mid, counts in after_first.items():
         if mid in system.models:
             for task, count in counts.items():
@@ -343,8 +343,8 @@ def test_selection_counts_persist_across_iterations():
 def test_metrics_snapshot_single_model_and_oracle_mean():
     system = fresh_system()
     ds = make_dataset("t", seed=49)
-    rng = Rng(12, "snap")
-    run_task_iteration(system, "t", ds, quick_config(), rng)
+    system.rng = Rng(12, "snap")
+    run_task_iteration(system, ds, quick_config())
     snap = metrics_snapshot(system, {"t": ds}, ["t"])
     model = system.models_for("t")[0]
     acc, accounted, flops = snap.per_task["t"]
@@ -362,9 +362,9 @@ def test_snapshot_accuracy_restricted_to_subset_costs_over_all():
     system = fresh_system()
     ds_t = make_dataset("t", seed=50)
     ds_u = make_dataset("u", seed=51)
-    rng = Rng(13, "subset")
-    run_task_iteration(system, "t", ds_t, quick_config(), rng)
-    run_task_iteration(system, "u", ds_u, quick_config(), rng)
+    system.rng = Rng(13, "subset")
+    run_task_iteration(system, ds_t, quick_config())
+    run_task_iteration(system, ds_u, quick_config())
     snap = metrics_snapshot(system, {"t": ds_t, "u": ds_u}, ["t"])
     assert set(snap.per_task) == {"t"}
     hand_mean = sum(system.accounted_params(m) for m in system.models.values()) \
@@ -375,7 +375,8 @@ def test_snapshot_accuracy_restricted_to_subset_costs_over_all():
 def test_blocks_are_settled_when_their_iteration_ends():
     system = fresh_system()
     ds = make_dataset("t", seed=45)
-    run_task_iteration(system, "t", ds, quick_config(), Rng(9, "settle"))
+    system.rng = Rng(9, "settle")
+    run_task_iteration(system, ds, quick_config())
     assert all(block.settled for block in system.blocks.values())
     parent = system.models_for("t")[0]
     head = system.block(parent.head_id())
@@ -396,7 +397,8 @@ def test_blocks_are_settled_when_their_iteration_ends():
 def test_a_write_to_a_settled_block_leaves_run_generation(monkeypatch, caplog):
     system = fresh_system()
     ds = make_dataset("t", seed=44)
-    run_task_iteration(system, "t", ds, quick_config(), Rng(8, "first"))
+    system.rng = Rng(8, "first")
+    run_task_iteration(system, ds, quick_config())
 
     def train_every_layer(system, model, dataset, budget, cycle, total, rng):
         for block in system.model_blocks(model):
@@ -404,10 +406,10 @@ def test_a_write_to_a_settled_block_leaves_run_generation(monkeypatch, caplog):
                              0.1, 0.9, False)
 
     monkeypatch.setattr(evolution, "train_cycle", train_every_layer)
+    system.rng = Rng(8, "gen")
     with caplog.at_level(logging.WARNING, logger="evograft"):
         with pytest.raises(ValueError, match="read-only"):
-            run_generation(system, "t", ds, quick_config(), system.models_for("t"),
-                           Rng(8, "gen"))
+            run_generation(system, ds, quick_config(), system.models_for("t"))
     assert "failed training" not in caplog.text
 
 
@@ -484,7 +486,7 @@ def test_an_unscored_model_fails_the_iteration_at_its_score():
                             dataset.num_classes, system.rng)
     system.commit_model(child)
     with pytest.raises(ValueError, match=f"model {child.id} has no recorded quality"):
-        run_task_iteration(system, "a", dataset, quick_config(), system.rng)
+        run_task_iteration(system, dataset, quick_config())
 
 
 def test_parse_segments_round_robin_and_overrides():
@@ -611,6 +613,11 @@ def test_run_segment_unknown_task_errors():
     system = fresh_system()
     with pytest.raises(EvolutionError):
         run_segment(system, SegmentSpec(label="x", tasks=["ghost"]), {}, quick_config())
+    models = list(system.models)
+    with pytest.raises(EvolutionError, match="maps task 'ghost' to dataset 'other'"):
+        run_segment(system, SegmentSpec(label="x", tasks=["ghost"]),
+                    {"ghost": make_dataset("other")}, quick_config())
+    assert list(system.models) == models and system.iterations_done == 0
 
 
 def test_run_plan_rejects_unknown_position_label():
@@ -674,7 +681,7 @@ def test_one_table1_iteration_at_the_papers_resolution_round_trips(tmp_path, tab
     root = next(iter(system.models.values()))
     assert root.hparams["resolution"] == 384
     system.task_paths = {"paper": task_dir}
-    run_task_iteration(system, "paper", load_task_dir(task_dir), quick_config(), system.rng)
+    run_task_iteration(system, load_task_dir(task_dir), quick_config())
     assert system.iterations_done == 1 and len(system.models_for("paper")) == 1
     save_checkpoint(system, str(tmp_path / "ckpt"))
     assert system_digest(load_checkpoint(str(tmp_path / "ckpt"))) == system_digest(system)

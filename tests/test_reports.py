@@ -19,7 +19,7 @@ def read_csv(path):
 def reported_system(tmp_path):
     system = fresh_system(seed=23)
     ds = make_dataset("t", seed=70)
-    run_task_iteration(system, "t", ds, quick_config(), system.rng)
+    run_task_iteration(system, ds, quick_config())
     from evograft.evolution import metrics_snapshot
     system.history.append(metrics_snapshot(system, {"t": ds}, ["t"], "seg", "t"))
     out = tmp_path / "reports"
@@ -61,7 +61,7 @@ def test_single_model_hparam_histogram_is_a_unit_bin(tmp_path):
 def test_constant_clone_mu_fits_flat_line(tmp_path):
     system = fresh_system(seed=24)
     ds = make_dataset("t", seed=71)
-    run_task_iteration(system, "t", ds, quick_config(), system.rng)
+    run_task_iteration(system, ds, quick_config())
     model = system.models_for("t")[0]
     for action in list(model.mu):
         if action.startswith("clone:"):

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from evograft.rng import Rng
-from evograft.search_space import (MU_GRID, MU_INIT, SpaceError, format_axis_line,
-                                   load_builtin_space, mu_neighbors, on_mu_grid,
-                                   parse_axis_line, parse_space)
+from evograft.search_space import (MU_GRID, MU_INIT, HparamAxis, SpaceError,
+                                   format_axis_line, load_builtin_space, mu_neighbors,
+                                   on_mu_grid, parse_axis_line, parse_space)
 
 CANONICAL = {
     "learning_rate": ([0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01,
@@ -131,6 +131,14 @@ def test_axis_validation_rejects_bad_tables():
         parse_axis_line("oob | 1,2 | 5")
     with pytest.raises(SpaceError):
         parse_space("")
+    with pytest.raises(SpaceError, match="axis 'empty' has no values"):
+        HparamAxis("empty", (), 0)
+    with pytest.raises(SpaceError, match="axis 'mix' mixes value types"):
+        parse_axis_line("mix | 1,True | 0")
+    with pytest.raises(SpaceError, match="axis name must be whitespace-free: 'two words'"):
+        parse_axis_line("two words | 1,2 | 0")
+    with pytest.raises(SpaceError, match="no builtin space named 'nope'"):
+        load_builtin_space("nope")
 
 
 def test_boolean_axes_are_two_element_sequences(table1_space):
